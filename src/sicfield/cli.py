@@ -36,10 +36,9 @@ from .galois import (
     fixed_subfield_check,
     generate_group,
     is_abelian,
-    order_census,
     standard_generators,
 )
-from .minpoly import is_algebraic_integer, is_unit, minimal_polynomial
+from .minpoly import minimal_polynomial
 from .search import SearchConfig, search
 from .sic4 import (
     canonical_phase_matrix,
@@ -127,8 +126,8 @@ def cmd_minpoly(args: argparse.Namespace) -> list[dict]:
         "element": serialize_element(elem, args.precision),
         "minimal_polynomial": result.primitive.format(),
         "degree": result.degree,
-        "algebraic_integer": result.monic.has_integer_coefficients(),
-        "unit": is_unit(elem),
+        "algebraic_integer": result.is_algebraic_integer,
+        "unit": result.is_unit,
     }
     if not args.json:
         print(result.primitive.format())
@@ -138,8 +137,8 @@ def cmd_minpoly(args: argparse.Namespace) -> list[dict]:
 def cmd_galois(args: argparse.Namespace) -> list[dict]:
     generators = standard_generators()
     group = generate_group(list(generators.values()))
-    census = order_census(group)
     cert = certify_structure(group)
+    census = cert.census
     inner = generate_group([generators[k] for k in ("g1", "g2", "g3")])
     columns = {name: constant(name)
                for name in ("sqrt5", "sqrt2", "isqrt_sqrt5p1", "i", "tau")}
@@ -191,11 +190,11 @@ def cmd_units(args: argparse.Namespace) -> list[dict]:
         elem = constant(name)
         result = minimal_polynomial(elem)
         reports.append(make_report(
-            "units", f"unit_{name}", is_unit(elem),
+            "units", f"unit_{name}", result.is_unit,
             {
                 "minimal_polynomial": result.primitive.format(),
                 "degree": result.degree,
-                "algebraic_integer": is_algebraic_integer(elem),
+                "algebraic_integer": result.is_algebraic_integer,
                 "element": serialize_element(elem, args.precision),
             },
         ))

@@ -18,13 +18,14 @@ compose right to left: (sigma * phi)(e) = sigma(phi(e)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .tower import (
     FieldElement,
+    LinearMap,
     constant,
     defining_relations_hold,
-    substitute_with_powers,
+    substitution_map,
 )
 
 __all__ = [
@@ -44,55 +45,54 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Automorphism:
-    """A field automorphism given by the images of u and r."""
+    """A field automorphism, held as its integer matrix on the basis
+    u^k r^e. It is built from the images of u and r, which must satisfy
+    the tower relations; products and inverses are matrix products and
+    inverses, so they need no check."""
 
-    image_u: FieldElement
-    image_r: FieldElement
+    __slots__ = ("matrix",)
 
-    def __post_init__(self) -> None:
-        if not defining_relations_hold(self.image_u, self.image_r):
+    matrix: LinearMap
+
+    def __init__(self, image_u: FieldElement, image_r: FieldElement) -> None:
+        if not defining_relations_hold(image_u, image_r):
             raise ValueError("images do not satisfy the tower relations")
+        object.__setattr__(self, "matrix", substitution_map(image_u, image_r))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Automorphism is immutable")
 
     @classmethod
-    def unchecked(cls, image_u: FieldElement, image_r: FieldElement) -> Automorphism:
-        """Build without the relation checks. Only for experiments; the
-        group closure guards against the damage this can do."""
+    def _from_matrix(cls, matrix: LinearMap) -> Automorphism:
         self = object.__new__(cls)
-        object.__setattr__(self, "image_u", image_u)
-        object.__setattr__(self, "image_r", image_r)
+        object.__setattr__(self, "matrix", matrix)
         return self
 
     @classmethod
     def identity(cls) -> Automorphism:
-        return cls.unchecked(constant("u"), constant("r"))
+        return cls._from_matrix(_IDENTITY)
 
     def is_identity(self) -> bool:
-        return self.image_u == constant("u") and self.image_r == constant("r")
+        return self.matrix == _IDENTITY
 
     @property
-    def _u_powers(self) -> tuple[FieldElement, ...]:
-        powers = _POWER_CACHE.get(self.image_u.coords)
-        if powers is None:
-            acc = [FieldElement.one()]
-            for _ in range(7):
-                acc.append(acc[-1] * self.image_u)
-            powers = tuple(acc)
-            _POWER_CACHE[self.image_u.coords] = powers
-        return powers
+    def image_u(self) -> FieldElement:
+        return self.matrix(constant("u"))
+
+    @property
+    def image_r(self) -> FieldElement:
+        return self.matrix(constant("r"))
 
     def apply(self, elem: FieldElement) -> FieldElement:
         """Image of a field element under the automorphism."""
-        return substitute_with_powers(elem, self._u_powers, self.image_r)
+        return self.matrix(elem)
 
     def __mul__(self, other: Automorphism) -> Automorphism:
         """Composition, other first: (self * other)(e) = self(other(e))."""
         if not isinstance(other, Automorphism):
             return NotImplemented
-        return Automorphism.unchecked(
-            self.apply(other.image_u), self.apply(other.image_r),
-        )
+        return Automorphism._from_matrix(self.matrix @ other.matrix)
 
     def __pow__(self, n: int) -> Automorphism:
         if n < 0:
@@ -102,25 +102,27 @@ class Automorphism:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def inverse(self) -> Automorphism:
-        power = self
-        previous = Automorphism.identity()
-        for _ in range(16):
-            if power.is_identity():
-                return previous
-            previous = power
-            power = power * self
-        raise ValueError("element has no finite order; not an automorphism")
+        return Automorphism._from_matrix(self.matrix.inverse())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Automorphism):
+            return NotImplemented
+        return self.matrix == other.matrix
+
+    def __hash__(self) -> int:
+        return hash(self.matrix)
 
     def __repr__(self) -> str:
         return f"<Automorphism u -> {self.image_u}, r -> {self.image_r}>"
 
 
-_POWER_CACHE: dict[tuple, tuple[FieldElement, ...]] = {}
+_IDENTITY = LinearMap.identity()
 
 
 def standard_generators() -> dict[str, Automorphism]:
@@ -134,31 +136,26 @@ def standard_generators() -> dict[str, Automorphism]:
     }
 
 
-def _key(g: Automorphism) -> tuple:
-    return (g.image_u.coords, g.image_r.coords)
-
-
 def generate_group(generators: Sequence[Automorphism],
                    max_order: int = 10_000) -> list[Automorphism]:
     """Closure of the generators under composition, BFS order.
 
     Aborts once the closure exceeds max_order elements, which signals
-    that some "generator" was not actually an automorphism.
+    that the generators do not span a finite group of that size.
     """
     identity = Automorphism.identity()
-    elements = {_key(identity): identity}
+    elements = {identity: identity}
     frontier = [identity]
     for g in generators:
-        if _key(g) not in elements:
-            elements[_key(g)] = g
+        if g not in elements:
+            elements[g] = g
             frontier.append(g)
     while frontier:
         current = frontier.pop(0)
         for g in generators:
             product = g * current
-            k = _key(product)
-            if k not in elements:
-                elements[k] = product
+            if product not in elements:
+                elements[product] = product
                 frontier.append(product)
                 if len(elements) > max_order:
                     raise RuntimeError(
@@ -169,13 +166,19 @@ def generate_group(generators: Sequence[Automorphism],
 
 
 def multiplication_table(group: Sequence[Automorphism]) -> list[list[int]]:
-    """Index table: table[i][j] = k with group[i] * group[j] = group[k]."""
-    index = {_key(g): k for k, g in enumerate(group)}
+    """Index table: table[i][j] = k with group[i] * group[j] = group[k].
+
+    An automorphism is fixed by the images of u and r, two columns of
+    its matrix, so each product is identified from those two columns of
+    the matrix product alone.
+    """
+    images = [(g.image_u, g.image_r) for g in group]
+    index = {pair: k for k, pair in enumerate(images)}
     table = []
     for a in group:
         row = []
-        for b in group:
-            k = index.get(_key(a * b))
+        for image_u, image_r in images:
+            k = index.get((a.apply(image_u), a.apply(image_r)))
             if k is None:
                 raise ValueError("sequence is not closed under composition")
             row.append(k)
@@ -184,20 +187,24 @@ def multiplication_table(group: Sequence[Automorphism]) -> list[list[int]]:
 
 
 def element_order(g: Automorphism) -> int:
-    power = g
+    generators = (constant("u"), constant("r"))
+    images = (g.image_u, g.image_r)
     for order in range(1, 17):
-        if power.is_identity():
+        if images == generators:
             return order
-        power = power * g
+        images = (g.apply(images[0]), g.apply(images[1]))
     raise ValueError("element order exceeds the field degree")
 
 
-def order_census(group: Sequence[Automorphism]) -> dict[int, int]:
+def _census(orders: Iterable[int]) -> dict[int, int]:
     census: dict[int, int] = {}
-    for g in group:
-        order = element_order(g)
+    for order in orders:
         census[order] = census.get(order, 0) + 1
     return census
+
+
+def order_census(group: Sequence[Automorphism]) -> dict[int, int]:
+    return _census(element_order(g) for g in group)
 
 
 def is_abelian(group: Sequence[Automorphism]) -> bool:
@@ -217,11 +224,18 @@ def center(group: Sequence[Automorphism]) -> list[Automorphism]:
 
 def is_normal(group: Sequence[Automorphism],
               subgroup: Sequence[Automorphism]) -> bool:
-    sub_keys = {_key(h) for h in subgroup}
+    members = set(subgroup)
     return all(
-        _key(g * h * g.inverse()) in sub_keys
+        g * h * g.inverse() in members
         for g in group for h in subgroup
     )
+
+
+def _index_order(table: list[list[int]], identity: int, k: int) -> int:
+    power, order = k, 1
+    while power != identity:
+        power, order = table[power][k], order + 1
+    return order
 
 
 def _closure_indices(table: list[list[int]], identity: int,
@@ -262,14 +276,14 @@ class StructureCertificate:
 def certify_structure(group: Sequence[Automorphism]) -> StructureCertificate:
     """Decide whether the group is Z2 x D8 and return the evidence."""
     order = len(group)
-    census = order_census(group)
-    abelian = is_abelian(group)
+    table = multiplication_table(group)
+    identity = next(k for k, g in enumerate(group) if g.is_identity())
+    orders = [_index_order(table, identity, k) for k in range(order)]
+    census = _census(orders)
+    abelian = all(table[i][j] == table[j][i] for i in range(order) for j in range(i))
     failed = StructureCertificate(order, census, abelian, None, None, None)
     if order != 16 or abelian or census != {1: 1, 2: 11, 4: 4}:
         return failed
-    table = multiplication_table(group)
-    identity = next(k for k, g in enumerate(group) if g.is_identity())
-    orders = {k: element_order(g) for k, g in enumerate(group)}
     central = [
         k for k in range(order)
         if orders[k] == 2 and all(table[k][j] == table[j][k] for j in range(order))

@@ -1,9 +1,15 @@
-"""Exact linear algebra over Q, sized for the degree-16 tower."""
+"""Exact linear algebra over Q, sized for the degree-16 tower.
+
+Elimination is fraction-free: rows are scaled to integers and reduced
+with Bareiss's rule, whose divisions are exact, so no Fraction is made
+until the reduced form is read off.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from math import gcd, lcm
+from typing import Iterable, Sequence
 
 Matrix = list[list[Fraction]]
 
@@ -12,11 +18,55 @@ class LinearSystemError(ValueError):
     """Raised when a linear system has no solution."""
 
 
-def _to_matrix(rows: Sequence[Sequence[int | Fraction]]) -> Matrix:
-    out = [[Fraction(c) for c in row] for row in rows]
+def _integer_rows(rows: Sequence[Sequence[int | Fraction]]) -> list[list[int]]:
+    """Each row times the lcm of its denominators; scaling a row leaves
+    the row space, and so the reduced form, unchanged."""
+    out = []
+    for row in rows:
+        cs = [Fraction(c) for c in row]
+        scale = lcm(*(c.denominator for c in cs)) if cs else 1
+        out.append([c.numerator * (scale // c.denominator) for c in cs])
     if out and any(len(row) != len(out[0]) for row in out):
         raise ValueError("ragged matrix")
     return out
+
+
+def bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix.
+
+    Returns (reduced, pivots, divisor) with reduced == divisor * RREF:
+    every pivot entry equals divisor and the rest of each pivot column
+    is zero. Each entry stays an integer minor of the input, so every
+    division below is exact. Pivoting is deterministic: the first
+    nonzero entry in column order.
+    """
+    m = [list(row) for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots: list[int] = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        k = next((k for k in range(r, nrows) if m[k][c]), None)
+        if k is None:
+            continue
+        m[r], m[k] = m[k], m[r]
+        prow = m[r]
+        p = prow[c]
+        for i in range(nrows):
+            if i == r:
+                continue
+            x = m[i][c]
+            if x:
+                m[i] = [(p * a - x * b) // prev for a, b in zip(m[i], prow)]
+            elif p != prev:
+                m[i] = [p * a // prev for a in m[i]]
+        pivots.append(c)
+        prev = p
+        r += 1
+    return m, pivots, prev
 
 
 def rref(rows: Sequence[Sequence[int | Fraction]]) -> tuple[Matrix, list[int]]:
@@ -24,28 +74,8 @@ def rref(rows: Sequence[Sequence[int | Fraction]]) -> tuple[Matrix, list[int]]:
 
     Pivoting is deterministic: the first nonzero entry in column order.
     """
-    m = _to_matrix(rows)
-    if not m:
-        return m, []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((k for k in range(row, len(m)) if m[k][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [c * inv for c in m[row]]
-        for k in range(len(m)):
-            if k != row and m[k][col] != 0:
-                factor = m[k][col]
-                m[k] = [a - factor * b for a, b in zip(m[k], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(m):
-            break
-    return m, pivots
+    reduced, pivots, divisor = bareiss(_integer_rows(rows))
+    return [[Fraction(c, divisor) for c in row] for row in reduced], pivots
 
 
 def solve(rows: Sequence[Sequence[int | Fraction]],
@@ -56,17 +86,14 @@ def solve(rows: Sequence[Sequence[int | Fraction]],
     underdetermined consistent systems the free variables are set to zero,
     which makes the answer deterministic.
     """
-    m = _to_matrix(rows)
-    b = [Fraction(c) for c in rhs]
-    if len(m) != len(b):
+    if len(rows) != len(rhs):
         raise ValueError("dimension mismatch between matrix and rhs")
-    if not m:
-        if any(c != 0 for c in b):
+    if not rows:
+        if any(c != 0 for c in rhs):
             raise LinearSystemError("inconsistent")
         return []
-    ncols = len(m[0])
-    augmented = [row + [bk] for row, bk in zip(m, b)]
-    reduced, pivots = rref(augmented)
+    ncols = len(rows[0])
+    reduced, pivots = rref([list(row) + [bk] for row, bk in zip(rows, rhs)])
     if ncols in pivots:
         raise LinearSystemError("inconsistent")
     x = [Fraction(0)] * ncols
@@ -77,11 +104,10 @@ def solve(rows: Sequence[Sequence[int | Fraction]],
 
 def nullspace(rows: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]]:
     """Basis of the right kernel of A, one vector per free column."""
-    m = _to_matrix(rows)
-    if not m:
+    if not rows:
         return []
-    ncols = len(m[0])
-    reduced, pivots = rref(m)
+    ncols = len(rows[0])
+    reduced, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis: list[list[Fraction]] = []
     for f in free:
@@ -91,3 +117,37 @@ def nullspace(rows: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]]:
             v[col] = -reduced[k][f]
         basis.append(v)
     return basis
+
+
+def first_dependence(vectors: Iterable[Sequence[int]]) -> list[int] | None:
+    """Integer coefficients c_0..c_n, c_n != 0, of the first linear
+    dependence sum c_k v_k = 0 in a stream of integer vectors.
+
+    Vectors are drawn only until the dependence shows, so a lazy stream
+    (the powers of a field element) is never computed past it. Each new
+    vector is reduced against the earlier ones by fraction-free row
+    operations, with the content divided out after every step; None
+    means the stream ended first.
+    """
+    basis: list[tuple[int, list[int], list[int]]] = []  # pivot, row, combination
+    for n, v in enumerate(vectors):
+        row = list(v)
+        combo = [0] * n + [1]
+        for pivot, brow, bcombo in basis:
+            x = row[pivot]
+            if not x:
+                continue
+            p = brow[pivot]
+            row = [p * a - x * b for a, b in zip(row, brow)]
+            combo = [p * a for a in combo]
+            for k, b in enumerate(bcombo):
+                combo[k] -= x * b
+            g = gcd(*row, *combo)
+            if g > 1:
+                row = [a // g for a in row]
+                combo = [a // g for a in combo]
+        if not any(row):
+            return combo
+        pivot = next(k for k, a in enumerate(row) if a)
+        basis.append((pivot, row, combo))
+    return None

@@ -10,10 +10,6 @@ Matrix = tuple[tuple[FieldElement, ...], ...]
 Vector = tuple[FieldElement, ...]
 
 
-def as_matrix(rows: Sequence[Sequence[FieldElement]]) -> Matrix:
-    return tuple(tuple(row) for row in rows)
-
-
 def identity(n: int) -> Matrix:
     one = FieldElement.one()
     zero = FieldElement.zero()

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import nullspace
+from .linalg import first_dependence
 from .polynomials import RatPoly, palindromic_lift
 from .tower import FieldElement
 
@@ -29,6 +29,17 @@ class MinimalPolynomial:
     primitive: RatPoly
     degree: int
 
+    @property
+    def is_algebraic_integer(self) -> bool:
+        """True when the monic form has integer coefficients."""
+        return self.monic.has_integer_coefficients()
+
+    @property
+    def is_unit(self) -> bool:
+        """True for algebraic integers of norm +-1: integer monic
+        coefficients and constant term +-1."""
+        return self.is_algebraic_integer and abs(self.monic.coefficient(0)) == 1
+
     def __str__(self) -> str:
         return self.primitive.format()
 
@@ -37,37 +48,37 @@ def minimal_polynomial(a: FieldElement) -> MinimalPolynomial:
     """Minimal polynomial of a over Q, found as the first linear
     dependence among the powers 1, a, a^2, ...
 
-    The tower has degree 16, so the loop always terminates and the
-    degree found divides 16.
+    Power k is N_k / D_k with integer numerators N_k, so an integer
+    dependence sum c_k N_k = 0 gives the polynomial sum c_k D_k t^k. The
+    tower has degree 16, so a dependence shows by the 17th power and its
+    degree divides 16.
     """
-    powers = [FieldElement.one()]
-    for degree in range(1, 17):
-        powers.append(powers[-1] * a)
-        matrix = [
-            [powers[k].coords[row] for k in range(degree + 1)]
-            for row in range(16)
-        ]
-        kernel = nullspace(matrix)
-        if not kernel:
-            continue
-        v = kernel[0]
-        # the first dependence must involve the top power
-        assert v[degree] != 0
-        monic = RatPoly(v) / v[degree]
-        return MinimalPolynomial(monic, monic.primitive(), degree)
-    raise AssertionError("no dependence found within the tower degree")
+    powers = []
+
+    def numerators():
+        power = FieldElement.one()
+        while len(powers) <= 16:
+            powers.append(power)
+            yield power.nums
+            power = power * a
+
+    combination = first_dependence(numerators())
+    if combination is None:
+        raise AssertionError("no dependence found within the tower degree")
+    coeffs = [c * p.den for c, p in zip(combination, powers)]
+    monic = RatPoly(coeffs) / coeffs[-1]
+    return MinimalPolynomial(monic, monic.primitive(), len(coeffs) - 1)
 
 
 def is_algebraic_integer(a: FieldElement) -> bool:
     """True when the monic minimal polynomial has integer coefficients."""
-    return minimal_polynomial(a).monic.has_integer_coefficients()
+    return minimal_polynomial(a).is_algebraic_integer
 
 
 def is_unit(a: FieldElement) -> bool:
     """True for algebraic integers whose norm is +-1, i.e. whose monic
     minimal polynomial has integer coefficients and constant term +-1."""
-    monic = minimal_polynomial(a).monic
-    return monic.has_integer_coefficients() and abs(monic.coefficient(0)) == 1
+    return minimal_polynomial(a).is_unit
 
 
 def palindrome_reduce(p: RatPoly) -> RatPoly:

@@ -72,6 +72,9 @@ class RatPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a constant equals its Fraction (and int), so it hashes alike
+        if len(self.coeffs) <= 1:
+            return hash(self.coeffs[0] if self.coeffs else Fraction(0))
         return hash(("RatPoly", self.coeffs))
 
     def __bool__(self) -> bool:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import matrices
 from .matrices import Matrix
-from .minpoly import is_unit, minimal_polynomial
+from .minpoly import minimal_polynomial
 from .tower import FieldElement, constant, embed
 from .weyl import displacement_dagger_sign, displacement_exact
 
@@ -100,14 +100,24 @@ def fiducial_projector() -> Matrix:
 
 
 def overlap(proj: Matrix, i: int, j: int) -> FieldElement:
-    """Tr(Pi D Pi D^dagger) for the displacement at (i, j)."""
+    """Tr(Pi D Pi D^dagger) for the displacement at (i, j).
+
+    D is monomial, D|k> = phi_k |s(k)> with s(k) = k + i, so the trace
+    is the sum over (w, y) of Pi[s(w)][s(y)] phi_y Pi[y][w] conj(phi_w):
+    16 terms instead of two general matrix products.
+    """
     d = displacement_exact(i, j)
-    a = matrices.mat_mul(proj, d)
-    b = matrices.mat_mul(proj, matrices.dagger(d))
-    return sum(
-        (a[x][y] * b[y][x] for x in range(4) for y in range(4)),
-        FieldElement.zero(),
-    )
+    shifted = [(k + i) % 4 for k in range(4)]
+    phases = [d[shifted[k]][k] for k in range(4)]
+    total = FieldElement.zero()
+    for w in range(4):
+        row = proj[shifted[w]]
+        inner = sum(
+            (row[shifted[y]] * phases[y] * proj[y][w] for y in range(4)),
+            FieldElement.zero(),
+        )
+        total = total + phases[w].conjugate() * inner
+    return total
 
 
 def verify_sic_projector(proj: Matrix | None = None) -> list[CheckResult]:
@@ -175,11 +185,12 @@ def phase_unit_audit(phases: Matrix | None = None) -> list[PhaseAudit]:
             if (i, j) == (0, 0):
                 continue
             z = phases[i][j]
+            result = minimal_polynomial(z)
             audits.append(PhaseAudit(
                 index=(i, j),
                 unit_modulus=z * z.conjugate() == 1,
-                algebraic_unit=is_unit(z),
-                minpoly_degree=minimal_polynomial(z).degree,
+                algebraic_unit=result.is_unit,
+                minpoly_degree=result.degree,
             ))
     return audits
 

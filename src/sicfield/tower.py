@@ -13,11 +13,19 @@ so every element is written uniquely as a + b r with a, b in Q(u). The
 16 rational coordinates of an element are the u-power coefficients of a
 followed by those of b.
 
+As a Q-vector space the field has the basis u^k r^e (k < 8, e < 2),
+basis element m being u^(m % 8) r^(m // 8). Every operation is integer
+linear algebra on that basis: an element is 16 integer numerators over
+one positive denominator, a product contracts them with the structure
+tensor of basis products, and conjugation and the Galois automorphisms
+are integer 16x16 matrices (LinearMap).
+
 u embeds as the unit-modulus complex number
 (sqrt5 - 1)/(2 sqrt2) + i sqrt(sqrt5 + 1)/2 and r as the real number
 -(sqrt5 + 1)/(2 sqrt2) - sqrt(sqrt5 - 1)/2, the root of its quadratic
 with absolute value greater than 1. All arithmetic here is exact; the
-embedding is the only place floating point enters.
+embedding is the only place floating point enters, and every value it
+returns carries a certified error bound.
 """
 
 from __future__ import annotations
@@ -25,11 +33,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 import mpmath
 
-from .linalg import solve
+from .linalg import bareiss
 from .polynomials import RatPoly
 
 Scalar = Union[int, Fraction]
@@ -41,7 +50,8 @@ U_MIN_POLY = RatPoly([1, 0, -2, 0, -2, 0, -2, 0, 1])
 X_MIN_POLY = RatPoly([4, 0, -6, 0, 1])
 
 # 1/u = 2u + 2u^3 + 2u^5 - u^7, read off the minimal polynomial.
-_INV_U_POLY = RatPoly([0, 2, 0, 2, 0, 2, 0, -1])
+_INV_U = (0, 2, 0, 2, 0, 2, 0, -1)
+_INV_U_POLY = RatPoly(_INV_U)
 
 _X_POLY = RatPoly.monomial(1) + _INV_U_POLY
 
@@ -50,10 +60,6 @@ _C_POLY = (3 * _X_POLY - _X_POLY**3 / 2) % U_MIN_POLY
 
 if (_C_POLY * _X_POLY) % U_MIN_POLY != RatPoly([2]):
     raise AssertionError("tower bootstrap failed: c * x != 2")
-
-_INV_U_POWERS = tuple(
-    _INV_U_POLY**k % U_MIN_POLY for k in range(8)
-)
 
 
 def _pad8(poly: RatPoly) -> tuple[Fraction, ...]:
@@ -69,22 +75,87 @@ def _as_scalar(value: object) -> Fraction | None:
     return None
 
 
-class FieldElement:
-    """An element of Q(u, r), held as 16 exact rational coordinates.
+# -- integer u-polynomials and the structure tensor ---------------------------
 
-    Coordinates 0..7 are the u-power coefficients of the Q(u) part,
-    coordinates 8..15 those of the coefficient of r.
+
+def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _reduce_u(p: Sequence[int]) -> list[int]:
+    """Integer u-polynomial reduced below degree 8 by
+    u^n = u^(n-8) (2u^6 + 2u^4 + 2u^2 - 1)."""
+    p = list(p) + [0] * (8 - len(p))
+    for n in range(len(p) - 1, 7, -1):
+        c = p[n]
+        if c:
+            p[n - 8] -= c
+            p[n - 6] += 2 * c
+            p[n - 4] += 2 * c
+            p[n - 2] += 2 * c
+    return p[:8]
+
+
+def _sparse(vec: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    return tuple((k, x) for k, x in enumerate(vec) if x)
+
+
+@lru_cache(maxsize=1)
+def _structure() -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+    """T[i][j]: the nonzero (k, 2 * coefficient) pairs of basis_i * basis_j.
+
+    u^a r^e * u^b r^f = u^(a+b) r^(e+f), reduced with the octic and with
+    r^2 = -1 - c r. c lies in (1/2)Z[u] and nothing else in the rules has
+    a denominator, so the doubled entries are integers; 848 of the 4096
+    are nonzero.
+    """
+    c2 = [int(2 * q) for q in _pad8(_C_POLY)]
+    table = []
+    for i in range(16):
+        row = []
+        for j in range(16):
+            u_power = _reduce_u([0] * (i % 8 + j % 8) + [1])
+            doubled = [2 * x for x in u_power]
+            r_power = i // 8 + j // 8
+            if r_power == 0:
+                vec = doubled + [0] * 8
+            elif r_power == 1:
+                vec = [0] * 8 + doubled
+            else:
+                vec = [-x for x in doubled] + [-x for x in _reduce_u(_poly_mul(u_power, c2))]
+            row.append(_sparse(vec))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+# -- elements -----------------------------------------------------------------
+
+
+class FieldElement:
+    """An element of Q(u, r): 16 integer numerators over one denominator.
+
+    Coordinate m is nums[m] / den; coordinates 0..7 are the u-power
+    coefficients of the Q(u) part, coordinates 8..15 those of the
+    coefficient of r. The form is canonical: den > 0 and the gcd of the
+    numerators and den is 1, so equal elements have equal fields.
     """
 
-    __slots__ = ("coords",)
+    __slots__ = ("nums", "den", "_coords")
 
-    coords: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
     def __init__(self, coords: Iterable[Scalar]) -> None:
-        cs = tuple(Fraction(c) for c in coords)
+        cs = [Fraction(c) for c in coords]
         if len(cs) != 16:
             raise ValueError("a field element has exactly 16 coordinates")
-        object.__setattr__(self, "coords", cs)
+        den = lcm(*(c.denominator for c in cs))
+        _init(self, tuple(c.numerator * (den // c.denominator) for c in cs), den)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("FieldElement is immutable")
@@ -93,7 +164,8 @@ class FieldElement:
 
     @classmethod
     def from_rational(cls, value: Scalar) -> FieldElement:
-        return cls((Fraction(value),) + (Fraction(0),) * 15)
+        q = Fraction(value)
+        return _make((q.numerator,) + (0,) * 15, q.denominator)
 
     @classmethod
     def from_u_poly(cls, poly: RatPoly | Sequence[Scalar]) -> FieldElement:
@@ -116,6 +188,13 @@ class FieldElement:
     # -- views ---------------------------------------------------------
 
     @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The 16 coordinates as reduced fractions."""
+        if self._coords is None:
+            _SET_COORDS(self, tuple(Fraction(n, self.den) for n in self.nums))
+        return self._coords
+
+    @property
     def u_part(self) -> RatPoly:
         return RatPoly(self.coords[:8])
 
@@ -124,40 +203,46 @@ class FieldElement:
         return RatPoly(self.coords[8:])
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coords[0]
+        return Fraction(self.nums[0], self.den)
 
     # -- ring structure --------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, FieldElement):
-            return self.coords == other.coords
+            return self.den == other.den and self.nums == other.nums
         q = _as_scalar(other)
         if q is not None:
-            return self == FieldElement.from_rational(q)
+            return self.is_rational() and Fraction(self.nums[0], self.den) == q
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("FieldElement", self.coords))
+        # a rational element equals its Fraction (and int), so it hashes alike
+        if self.is_rational():
+            return hash(Fraction(self.nums[0], self.den))
+        return hash((self.nums, self.den))
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def __neg__(self) -> FieldElement:
-        return FieldElement(-c for c in self.coords)
+        return _make(tuple(-n for n in self.nums), self.den)
 
     def __add__(self, other: FieldElement | Scalar) -> FieldElement:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return FieldElement(a + b for a, b in zip(self.coords, other.coords))
+        da, db = self.den, other.den
+        if da == db:
+            return _reduced([a + b for a, b in zip(self.nums, other.nums)], da)
+        return _reduced([a * db + b * da for a, b in zip(self.nums, other.nums)], da * db)
 
     __radd__ = __add__
 
@@ -165,7 +250,7 @@ class FieldElement:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return FieldElement(a - b for a, b in zip(self.coords, other.coords))
+        return self + (-other)
 
     def __rsub__(self, other: Scalar) -> FieldElement:
         other = _coerce(other)
@@ -174,18 +259,23 @@ class FieldElement:
         return other - self
 
     def __mul__(self, other: FieldElement | Scalar) -> FieldElement:
-        q = _as_scalar(other)
-        if q is not None:
-            return FieldElement(c * q for c in self.coords)
         if not isinstance(other, FieldElement):
-            return NotImplemented
-        a, b = self.u_part, self.r_part
-        c, d = other.u_part, other.r_part
-        bd = (b * d) % U_MIN_POLY
-        # r^2 = -1 - (2/x) r
-        u_out = (a * c) % U_MIN_POLY - bd
-        r_out = (a * d + b * c) % U_MIN_POLY - (_C_POLY * bd) % U_MIN_POLY
-        return FieldElement.from_parts(u_out, r_out)
+            q = _as_scalar(other)
+            if q is None:
+                return NotImplemented
+            return _reduced([n * q.numerator for n in self.nums],
+                            self.den * q.denominator)
+        table = _structure()
+        right = [(j, y) for j, y in enumerate(other.nums) if y]
+        out = [0] * 16
+        for i, x in enumerate(self.nums):
+            if x:
+                row = table[i]
+                for j, y in right:
+                    xy = x * y
+                    for k, t in row[j]:
+                        out[k] += t * xy
+        return _reduced(out, 2 * self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -194,7 +284,7 @@ class FieldElement:
         if q is not None:
             if q == 0:
                 raise ZeroDivisionError("division by zero")
-            return FieldElement(c / q for c in self.coords)
+            return self * (1 / q)
         if not isinstance(other, FieldElement):
             return NotImplemented
         return self * other.inverse()
@@ -215,30 +305,32 @@ class FieldElement:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def inverse(self) -> FieldElement:
-        """Multiplicative inverse, by solving the multiplication map."""
+        """Multiplicative inverse, by fraction-free elimination on the
+        integer matrix of multiplication by self."""
         if self.is_zero():
             raise ZeroDivisionError("zero has no inverse")
-        columns = [(self * b).coords for b in _basis()]
-        matrix = [[columns[k][row] for k in range(16)] for row in range(16)]
-        rhs = [Fraction(1)] + [Fraction(0)] * 15
-        return FieldElement(solve(matrix, rhs))
+        # column j of `matrix` is 2 * nums * basis_j, so self * y = 1 reads
+        # matrix . y = 2 * den * e_0
+        table = _structure()
+        matrix = [[0] * 17 for _ in range(16)]
+        for i, x in enumerate(self.nums):
+            if x:
+                for j, entries in enumerate(table[i]):
+                    for k, t in entries:
+                        matrix[k][j] += t * x
+        matrix[0][16] = 2 * self.den
+        reduced, _, divisor = bareiss(matrix)
+        return _reduced([row[16] for row in reduced], divisor)
 
     def conjugate(self) -> FieldElement:
         """Complex conjugation: u maps to 1/u, r is real and fixed."""
-        a, b = self.coords[:8], self.coords[8:]
-        u_out = RatPoly.zero()
-        r_out = RatPoly.zero()
-        for k in range(8):
-            if a[k]:
-                u_out = u_out + a[k] * _INV_U_POWERS[k]
-            if b[k]:
-                r_out = r_out + b[k] * _INV_U_POWERS[k]
-        return FieldElement.from_parts(u_out, r_out)
+        return _conjugation()(self)
 
     # -- display -----------------------------------------------------------
 
@@ -257,6 +349,34 @@ class FieldElement:
         return f"<FieldElement {self}>"
 
 
+_SET_NUMS = FieldElement.nums.__set__
+_SET_DEN = FieldElement.den.__set__
+_SET_COORDS = FieldElement._coords.__set__
+
+
+def _init(elem: FieldElement, nums: tuple[int, ...], den: int) -> None:
+    _SET_NUMS(elem, nums)
+    _SET_DEN(elem, den)
+    _SET_COORDS(elem, None)
+
+
+def _make(nums: tuple[int, ...], den: int) -> FieldElement:
+    """An element from numerators and denominator already in canonical form."""
+    elem = object.__new__(FieldElement)
+    _init(elem, nums, den)
+    return elem
+
+
+def _reduced(nums: list[int], den: int) -> FieldElement:
+    """An element from any numerators over a nonzero denominator."""
+    g = gcd(*nums, den)
+    if den < 0:
+        g = -g
+    if g != 1:
+        return _make(tuple(n // g for n in nums), den // g)
+    return _make(tuple(nums), den)
+
+
 def _coerce(value: object) -> FieldElement | None:
     if isinstance(value, FieldElement):
         return value
@@ -266,24 +386,125 @@ def _coerce(value: object) -> FieldElement | None:
     return None
 
 
-_ZERO = FieldElement((0,) * 16)
-_ONE = FieldElement((1,) + (0,) * 15)
+_ZERO = _make((0,) * 16, 1)
+_ONE = _make((1,) + (0,) * 15, 1)
+
+
+# -- linear maps ----------------------------------------------------------------
+
+
+class LinearMap:
+    """A Q-linear map of the field: an integer 16x16 matrix over a
+    positive denominator, in lowest terms.
+
+    Column m, stored sparse as (row, entry) pairs, holds the numerators
+    of the image of basis element m. Calling the map applies it to an
+    element; `a @ b` is the composition a after b, a matrix product.
+    """
+
+    __slots__ = ("cols", "den")
+
+    cols: tuple[tuple[tuple[int, int], ...], ...]
+    den: int
+
+    def __init__(self, columns: Sequence[Sequence[int]], den: int = 1) -> None:
+        g = gcd(den, *(x for col in columns for x in col))
+        if den < 0:
+            g = -g
+        object.__setattr__(self, "cols", tuple(_sparse([x // g for x in col]) for col in columns))
+        object.__setattr__(self, "den", den // g)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("LinearMap is immutable")
+
+    @classmethod
+    def from_images(cls, images: Sequence[FieldElement]) -> LinearMap:
+        """The map sending basis element m to images[m]."""
+        den = lcm(*(e.den for e in images))
+        return cls([[n * (den // e.den) for n in e.nums] for e in images], den)
+
+    @classmethod
+    def identity(cls) -> LinearMap:
+        return cls([[int(k == m) for k in range(16)] for m in range(16)])
+
+    def _numerators(self, nums: Sequence[int]) -> list[int]:
+        out = [0] * 16
+        for x, col in zip(nums, self.cols):
+            if x:
+                for k, c in col:
+                    out[k] += x * c
+        return out
+
+    def __call__(self, elem: FieldElement) -> FieldElement:
+        return _reduced(self._numerators(elem.nums), self.den * elem.den)
+
+    def __matmul__(self, other: LinearMap) -> LinearMap:
+        if not isinstance(other, LinearMap):
+            return NotImplemented
+        columns = []
+        for col in other.cols:
+            dense = [0] * 16
+            for k, c in col:
+                dense[k] = c
+            columns.append(self._numerators(dense))
+        return LinearMap(columns, self.den * other.den)
+
+    def inverse(self) -> LinearMap:
+        """The inverse map, by fraction-free elimination of [M | den I]."""
+        rows = [[0] * 32 for _ in range(16)]
+        for m, col in enumerate(self.cols):
+            for k, c in col:
+                rows[k][m] = c
+        for k in range(16):
+            rows[k][16 + k] = self.den
+        reduced, pivots, divisor = bareiss(rows)
+        if pivots[:16] != list(range(16)):
+            raise ZeroDivisionError("the map is singular")
+        return LinearMap([[reduced[k][16 + m] for k in range(16)] for m in range(16)],
+                         divisor)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LinearMap):
+            return NotImplemented
+        return self.den == other.den and self.cols == other.cols
+
+    def __hash__(self) -> int:
+        return hash((self.cols, self.den))
+
+    def __repr__(self) -> str:
+        return f"<LinearMap over {self.den}>"
+
+
+def substitution_map(image_u: FieldElement, image_r: FieldElement) -> LinearMap:
+    """The linear map u^k r^e -> image_u^k image_r^e on the basis. It is a
+    field automorphism exactly when defining_relations_hold(image_u, image_r)."""
+    powers = [_ONE]
+    for _ in range(7):
+        powers.append(powers[-1] * image_u)
+    return LinearMap.from_images(powers + [p * image_r for p in powers])
 
 
 @lru_cache(maxsize=1)
-def _basis() -> tuple[FieldElement, ...]:
-    out = []
-    for k in range(16):
-        coords = [Fraction(0)] * 16
-        coords[k] = Fraction(1)
-        out.append(FieldElement(coords))
-    return tuple(out)
+def _conjugation() -> LinearMap:
+    """Complex conjugation as an integer matrix: u^k r^e -> u^-k r^e."""
+    powers = [[1] + [0] * 7]
+    for _ in range(7):
+        powers.append(_reduce_u(_poly_mul(powers[-1], _INV_U)))
+    zeros = [0] * 8
+    return LinearMap([p + zeros for p in powers] + [zeros + p for p in powers])
 
 
 def substitute(elem: FieldElement, image_u: FieldElement,
                image_r: FieldElement) -> FieldElement:
     """Extend u -> image_u, r -> image_r linearly over the monomial basis."""
-    return substitute_with_powers(elem, _u_image_powers(image_u), image_r)
+    return substitution_map(image_u, image_r)(elem)
+
+
+def substitute_with_powers(elem: FieldElement,
+                           u_powers: Sequence[FieldElement],
+                           image_r: FieldElement) -> FieldElement:
+    """substitute() with the powers image_u^0..image_u^7 given."""
+    return LinearMap.from_images(list(u_powers) + [p * image_r for p in u_powers])(elem)
 
 
 def defining_relations_hold(image_u: FieldElement,
@@ -294,29 +515,6 @@ def defining_relations_hold(image_u: FieldElement,
         return False
     c = _C_POLY(image_u)
     return (image_r * image_r + c * image_r + 1).is_zero()
-
-
-def _u_image_powers(image_u: FieldElement) -> tuple[FieldElement, ...]:
-    powers = [_ONE]
-    for _ in range(7):
-        powers.append(powers[-1] * image_u)
-    return tuple(powers)
-
-
-def substitute_with_powers(elem: FieldElement,
-                           u_powers: Sequence[FieldElement],
-                           image_r: FieldElement) -> FieldElement:
-    a, b = elem.coords[:8], elem.coords[8:]
-    u_out = _ZERO
-    r_coeff = _ZERO
-    for k in range(8):
-        if a[k]:
-            u_out = u_out + u_powers[k] * a[k]
-        if b[k]:
-            r_coeff = r_coeff + u_powers[k] * b[k]
-    if r_coeff.is_zero():
-        return u_out
-    return u_out + r_coeff * image_r
 
 
 # -- named constants --------------------------------------------------------
@@ -385,6 +583,20 @@ def _embed_generators_double() -> tuple[complex, complex]:
 
 _U_COMPLEX, _R_COMPLEX = _embed_generators_double()
 
+#: a value is returned once its error bound is at most this fraction of
+#: its modulus
+EMBED_RELATIVE_ERROR = 1e-13
+_EMBED_RELATIVE_BITS = math.ceil(-math.log2(EMBED_RELATIVE_ERROR))
+
+# Error of Horner's rule at precision p on 8 + 8 coordinates, |u| = 1:
+# at most _ROUNDING_FACTOR * 2^-p * (sum |a_k| + |r| sum |b_k|), with room
+# for the rounding of the coordinates and generators themselves.
+_ROUNDING_FACTOR = 64
+
+# below this a coordinate may be subnormal, and its rounding no longer
+# relative to its size
+_SMALLEST_NORMAL = 2.0**-1000
+
 
 def _horner(coeffs: Sequence, z):
     acc = coeffs[-1]
@@ -393,22 +605,73 @@ def _horner(coeffs: Sequence, z):
     return acc
 
 
+def _mp_generators():
+    s5 = mpmath.sqrt(5)
+    s2 = mpmath.sqrt(2)
+    u = mpmath.mpc((s5 - 1) / (2 * s2), mpmath.sqrt(s5 + 1) / 2)
+    r = mpmath.mpc(-(s5 + 1) / (2 * s2) - mpmath.sqrt(s5 - 1) / 2, 0)
+    return u, r
+
+
+def _certified(value, bound, relative_error) -> bool:
+    """Whether an error bound is small enough against |value|; an
+    infinite or NaN bound never is."""
+    return bound <= relative_error * (abs(value) - bound)
+
+
+def _embed_double(elem: FieldElement) -> complex | None:
+    """Double-precision Horner value, or None when its bound is too loose."""
+    nums, den = elem.nums, elem.den
+    try:
+        # int / int is correctly rounded, unlike float(n) / float(den)
+        coords = [n / den for n in nums]
+    except OverflowError:
+        return None
+    if any(n and abs(c) < _SMALLEST_NORMAL for n, c in zip(nums, coords)):
+        return None
+    a, b = coords[:8], coords[8:]
+    z = _horner(a, _U_COMPLEX) + _horner(b, _U_COMPLEX) * _R_COMPLEX
+    scale = sum(map(abs, a)) + abs(_R_COMPLEX) * sum(map(abs, b))
+    bound = _ROUNDING_FACTOR * 2.0**-53 * scale
+    return z if _certified(z, bound, EMBED_RELATIVE_ERROR) else None
+
+
+def _embed_mp(elem: FieldElement, relative_bits: int):
+    """A multiprecision value within 2^-relative_bits of the truth,
+    relative to its modulus, at rising precision until the bound
+    certifies it. The start also covers the largest coordinate's bits,
+    which is as much as the 16 terms can cancel against a modest value."""
+    nums, den = elem.nums, elem.den
+    top = max(abs(n).bit_length() for n in nums) - den.bit_length()
+    precision = 64 + relative_bits + max(top, 0)
+    while True:
+        with mpmath.workprec(precision):
+            u, r = _mp_generators()
+            a = [mpmath.mpf(n) / den for n in nums[:8]]
+            b = [mpmath.mpf(n) / den for n in nums[8:]]
+            z = _horner(a, u) + _horner(b, u) * r
+            scale = mpmath.fsum(map(abs, a)) + abs(r) * mpmath.fsum(map(abs, b))
+            bound = _ROUNDING_FACTOR * mpmath.ldexp(scale, -precision)
+            if _certified(z, bound, mpmath.ldexp(1, -relative_bits)):
+                return z
+        precision *= 2
+
+
 def embed(elem: FieldElement, dps: int | None = None):
     """Numerical value of an element under the defining embedding.
 
-    With dps=None this returns a Python complex computed in double
-    precision. With an integer dps it returns an mpmath.mpc computed at
-    that many decimal digits.
+    With dps=None this returns a Python complex within
+    EMBED_RELATIVE_ERROR of the true value, relative to its modulus. It
+    is the double-precision Horner value whenever an a-priori rounding
+    bound certifies that, and otherwise the double nearest a
+    multiprecision evaluation whose own bound does; coordinates too
+    large for a float take the second path. With an integer dps it
+    returns an mpmath.mpc with that many correct decimal digits,
+    relative to its modulus, from the same multiprecision evaluation.
     """
     if dps is None:
-        a = [float(c) for c in elem.coords[:8]]
-        b = [float(c) for c in elem.coords[8:]]
-        return _horner(a, _U_COMPLEX) + _horner(b, _U_COMPLEX) * _R_COMPLEX
+        z = _embed_double(elem)
+        return z if z is not None else complex(_embed_mp(elem, _EMBED_RELATIVE_BITS))
+    z = _embed_mp(elem, math.ceil(dps * math.log2(10)) + 4)
     with mpmath.workdps(dps):
-        s5 = mpmath.sqrt(5)
-        s2 = mpmath.sqrt(2)
-        u = mpmath.mpc((s5 - 1) / (2 * s2), mpmath.sqrt(s5 + 1) / 2)
-        r = mpmath.mpc(-(s5 + 1) / (2 * s2) - mpmath.sqrt(s5 - 1) / 2, 0)
-        a = [mpmath.mpf(c.numerator) / c.denominator for c in elem.coords[:8]]
-        b = [mpmath.mpf(c.numerator) / c.denominator for c in elem.coords[8:]]
-        return _horner(a, u) + _horner(b, u) * r
+        return +z

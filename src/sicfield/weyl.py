@@ -13,6 +13,7 @@ position i*d + j.
 from __future__ import annotations
 
 import cmath
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -109,16 +110,28 @@ def clock_shift_exact() -> tuple[Matrix, Matrix]:
     return shift, clock
 
 
-def displacement_exact(i: int, j: int) -> Matrix:
-    """Exact D(i, j) at d = 4 with tau from the tower."""
-    shift, clock = clock_shift_exact()
+@lru_cache(maxsize=1)
+def _tau_powers() -> tuple[FieldElement, ...]:
+    """tau^0 .. tau^7; tau is a primitive eighth root of unity."""
     tau = constant("tau")
-    out = matrices.identity(4)
-    for _ in range(i % 4):
-        out = matrices.mat_mul(shift, out)
-    for _ in range(j % 4):
-        out = matrices.mat_mul(out, clock)
-    return matrices.mat_scale(tau ** (i * j), out)
+    powers = [FieldElement.one()]
+    for _ in range(7):
+        powers.append(powers[-1] * tau)
+    return tuple(powers)
+
+
+def displacement_exact(i: int, j: int) -> Matrix:
+    """Exact D(i, j) at d = 4 with tau from the tower.
+
+    D(i, j) is monomial: D(i, j)|k> = tau^(ij) i^(jk) |k + i>, and with
+    i = tau^2 every entry is a power of tau.
+    """
+    powers = _tau_powers()
+    zero = FieldElement.zero()
+    rows = [[zero] * 4 for _ in range(4)]
+    for k in range(4):
+        rows[(k + i) % 4][k] = powers[(i * j + 2 * j * k) % 8]
+    return tuple(tuple(row) for row in rows)
 
 
 def orbit_exact(fiducial: Sequence[FieldElement]) -> list[tuple[FieldElement, ...]]:

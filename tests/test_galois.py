@@ -121,9 +121,10 @@ class TestGroupStructure:
         assert certify_structure(H).isomorphism_type is None
 
     def test_closure_safety_bound(self):
-        fake = Automorphism.unchecked(U + 1, R)
+        # the real generators close at 16 elements, past a bound of 10
         with pytest.raises(RuntimeError, match="safety bound"):
-            generate_group([fake], max_order=50)
+            generate_group(list(GENS.values()), max_order=10)
+        assert len(generate_group(list(GENS.values()), max_order=16)) == 16
 
 
 class TestHomomorphismProperty:
@@ -138,6 +139,19 @@ class TestHomomorphismProperty:
     def test_g1_is_complex_conjugation(self, a):
         assert G1.apply(a) == a.conjugate()
         assert abs(embed(G1.apply(a)) - embed(a).conjugate()) < 1e-9
+
+    @given(field_elements(), field_elements())
+    @settings(max_examples=10, deadline=None)
+    def test_every_matrix_is_a_ring_homomorphism(self, a, b):
+        for g in GROUP:
+            assert g.apply(a + b) == g.apply(a) + g.apply(b)
+            assert g.apply(a * b) == g.apply(a) * g.apply(b)
+            assert g.apply(FieldElement.one()) == 1
+
+    def test_matrix_inverse_undoes_the_map(self):
+        for g in GROUP:
+            assert (g * g.inverse()).is_identity()
+            assert g.inverse().apply(g.apply(U + 2 * R)) == U + 2 * R
 
     def test_rationals_are_fixed_by_everything(self):
         half = FieldElement.from_rational(1) / 2

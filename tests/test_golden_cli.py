@@ -1,0 +1,42 @@
+"""The exact-audit commands print exactly the recorded golden bytes.
+
+bench/golden/ holds the --json standard output of verify-d4, of every
+verify-d4 --corrupt I,J pair, of galois and of units, with their exit
+codes, recorded before the exact layer was rewritten as integer linear
+algebra. These tests read those files and never write them.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from sicfield.cli import main
+
+GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
+EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
+
+CORRUPT_PAIRS = [(i, j) for i in range(4) for j in range(4) if (i, j) != (0, 0)]
+
+COMMANDS = {
+    "verify-d4": ["verify-d4", "--json"],
+    "galois": ["galois", "--json"],
+    "units": ["units", "--json"],
+    **{
+        f"verify-d4_corrupt_{i}-{j}": ["verify-d4", "--corrupt", f"{i},{j}", "--json"]
+        for i, j in CORRUPT_PAIRS
+    },
+}
+
+
+def test_every_golden_file_is_covered():
+    assert set(COMMANDS) == set(EXIT_CODES)
+    assert {p.stem for p in GOLDEN.glob("*.json")} == set(COMMANDS) | {"exit_codes"}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_output_matches_golden_bytes(name, capsysbinary):
+    code = main(COMMANDS[name])
+    out = capsysbinary.readouterr().out
+    assert out == (GOLDEN / f"{name}.json").read_bytes()
+    assert code == EXIT_CODES[name]

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from sicfield.linalg import LinearSystemError, nullspace, rref, solve
+from sicfield.linalg import LinearSystemError, bareiss, first_dependence, nullspace, rref, solve
 
 
 def int_matrix(rows: int, cols: int):
@@ -81,3 +81,36 @@ def test_nullspace_vectors_annihilate(m):
     for v in nullspace(m):
         assert all(sum(row[k] * v[k] for k in range(5)) == 0 for row in m)
     assert len(nullspace(m)) == 5 - len(rref(m)[1])
+
+
+@given(int_matrix(4, 6))
+def test_bareiss_is_a_multiple_of_the_rref(m):
+    reduced, pivots, divisor = bareiss(m)
+    expected, expected_pivots = rref(m)
+    assert pivots == expected_pivots
+    assert [[Fraction(c, divisor) for c in row] for row in reduced] == expected
+    assert all(reduced[k][col] == divisor for k, col in enumerate(pivots))
+
+
+@given(int_matrix(5, 4))
+def test_first_dependence_is_the_first(vectors):
+    c = first_dependence(vectors)
+    if c is None:
+        assert len(rref(vectors)[1]) == 5
+        return
+    n = len(c) - 1
+    assert c[n] != 0
+    assert all(sum(c[k] * vectors[k][i] for k in range(n + 1)) == 0 for i in range(4))
+    assert len(rref(vectors[:n])[1]) == n  # the earlier vectors are independent
+
+
+def test_first_dependence_stops_drawing():
+    drawn = []
+
+    def stream():
+        for v in ([1, 0], [0, 1], [2, 3], [5, 5]):
+            drawn.append(v)
+            yield v
+
+    assert first_dependence(stream()) == [-2, -3, 1]
+    assert len(drawn) == 3

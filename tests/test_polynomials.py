@@ -160,3 +160,14 @@ def _complex_roots(p):
 def test_from_roots():
     assert from_roots([1, -1]) == RatPoly([-1, 0, 1])
     assert from_roots([]) == RatPoly.one()
+
+
+@given(st.fractions(max_denominator=7).filter(lambda q: abs(q) < 100))
+def test_constants_hash_like_their_value(q):
+    p = RatPoly([q])
+    assert p == q and hash(p) == hash(q)
+    assert len({p, q}) == 1
+
+
+def test_zero_polynomial_hashes_like_zero():
+    assert RatPoly.zero() == 0 and hash(RatPoly.zero()) == hash(0)

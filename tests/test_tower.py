@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from conftest import field_elements, nonzero_field_elements
+from conftest import field_elements, nonzero_field_elements, small_fractions
+from sicfield.galois import Automorphism
 from sicfield.polynomials import RatPoly
 from sicfield.tower import (
     CONSTANT_NAMES,
+    EMBED_RELATIVE_ERROR,
     U_MIN_POLY,
     X_MIN_POLY,
     FieldElement,
@@ -156,6 +158,37 @@ class TestFieldOps:
         assert a * a.inverse() == 1
 
 
+    @given(field_elements(), field_elements())
+    @settings(max_examples=30, deadline=None)
+    def test_tensor_product_matches_polynomial_reduction(self, a, b):
+        # independent route: multiply the Q(u) parts as polynomials and
+        # reduce with the octic and r^2 = -1 - c r, c = 2/x
+        c = 2 / X
+        ac, bd = a.u_part * b.u_part, a.r_part * b.r_part
+        cross = a.u_part * b.r_part + a.r_part * b.u_part
+        expected = (FieldElement.from_parts(ac, cross)
+                    - FieldElement.from_u_poly(bd) * (1 + c * R))
+        assert a * b == expected
+
+    @given(field_elements(), field_elements())
+    @settings(max_examples=30, deadline=None)
+    def test_equal_elements_hash_equal(self, a, b):
+        # equal values reached by different routes
+        for c in ((a + b) - b, FieldElement(a.coords), (a * 6) / 6):
+            assert c == a and hash(c) == hash(a)
+        if a == b:
+            assert hash(a) == hash(b)
+
+    @given(small_fractions(max_num=9, max_den=9))
+    def test_rationals_hash_like_their_value(self, q):
+        e = FieldElement.from_rational(q)
+        assert e == q and hash(e) == hash(q)
+        assert len({e, q}) == 1
+        if q.denominator == 1:
+            assert e == int(q) and hash(e) == hash(int(q))
+            assert len({e, int(q)}) == 1
+
+
 class TestConjugation:
     def test_on_generators(self):
         assert U.conjugate() == U.inverse()
@@ -169,6 +202,11 @@ class TestConjugation:
     def test_involution(self):
         e = TAU + 5 * R * U - Fraction(2, 3)
         assert e.conjugate().conjugate() == e
+
+    @given(field_elements())
+    @settings(max_examples=30, deadline=None)
+    def test_involution_random(self, a):
+        assert a.conjugate().conjugate() == a
 
     @given(field_elements(), field_elements())
     @settings(max_examples=20, deadline=None)
@@ -220,22 +258,44 @@ class TestEmbedding:
     def test_embedding_is_multiplicative(self, a, b):
         assert abs(embed(a * b) - embed(a) * embed(b)) < 1e-6
 
+    @given(field_elements(), field_elements(), st.integers(0, 60))
+    @settings(max_examples=30, deadline=None)
+    def test_multiplicative_within_stated_bound(self, a, b, n):
+        # each value is within EMBED_RELATIVE_ERROR of the truth, relative
+        # to its modulus; powers push coordinates past double precision
+        a = a**n
+        za, zb, zab = embed(a), embed(b), embed(a * b)
+        slack = 3 * EMBED_RELATIVE_ERROR + 2.0**-50
+        assert abs(zab - za * zb) <= slack * abs(za * zb)
+
+    def test_huge_coordinates_stay_certified(self):
+        # u^100 has 60-bit coordinates and double Horner used to return
+        # about -131072 + 65536i for it
+        z = embed(U**100)
+        assert abs(z - complex(embed(U, dps=50) ** 100)) < 1e-12
+        z = embed(U**20000)  # coordinates beyond the float range
+        assert abs(abs(z) - 1) < 1e-12
+
     def test_dunder_complex(self):
         assert complex(U) == embed(U)
 
 
 class TestSubstitute:
+    # substitution of generator images, through the automorphisms built on it
     def test_identity_images(self):
         e = TAU + R * U
-        assert substitute(e, U, R) == e
+        assert Automorphism(U, R).apply(e) == e
+        assert Automorphism.identity().apply(e) == e
 
     def test_swap_images_on_powers(self):
-        assert substitute(U * U, R, U) == R * R
-        assert substitute(U + R, R, U) == R + U
+        g4 = Automorphism(R, U)
+        assert g4.apply(U * U) == R * R
+        assert g4.apply(U + R) == R + U
+        assert substitute(TAU + R * U, R, U) == g4.apply(TAU + R * U)
 
     def test_rational_fixed(self):
         half = FieldElement.from_rational(Fraction(1, 2))
-        assert substitute(half, R, U) == half
+        assert Automorphism(R, U).apply(half) == half
 
 
 def test_rational_scalars_behave():
