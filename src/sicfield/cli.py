@@ -15,13 +15,15 @@ FILE to preload option defaults from a JSON object, and --precision
 Reports are objects with the four fields check, status, details, and
 category; numbers in them are rendered to 12 significant digits with
 ties going to even. Exit status is 0 when every check passes, 1 when
-any check fails, and 2 for usage or parse errors.
+any check fails, 2 for usage or parse errors, and 141 when the reader
+of the output closes it early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
@@ -52,6 +54,10 @@ from .sic4 import (
 from .tower import CONSTANT_NAMES, FieldElement, constant, embed
 
 EXTENDED_DPS = 50
+
+#: exit status when the reader of stdout closes early, as for a process
+#: that SIGPIPE ends
+EXIT_BROKEN_PIPE = 141
 
 
 def render_number(value: Any) -> str:
@@ -321,6 +327,29 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, registry
 
 
+def _config_value(parser: argparse.ArgumentParser, action: argparse.Action,
+                  key: str, value: Any) -> Any:
+    """A config value checked as strictly as its flag on the command line:
+    a string is read by the option's own type, a switch takes only true or
+    false, an integer option only an integer, a float option any number."""
+    if isinstance(action, argparse._StoreTrueAction):
+        valid = isinstance(value, bool)
+    elif isinstance(value, str):
+        try:
+            value = action.type(value) if action.type else value
+            valid = True
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            valid = False
+    else:
+        kinds = {int: int, float: (int, float)}.get(action.type, ())
+        valid = isinstance(value, kinds) and not isinstance(value, bool)
+    if valid and action.choices is not None:
+        valid = value in action.choices
+    if not valid:
+        parser.error(f"config key {key!r}: invalid value {value!r}")
+    return float(value) if action.type is float else value
+
+
 def _apply_config(parser: argparse.ArgumentParser,
                   registry: dict[str, argparse.ArgumentParser],
                   argv: list[str], args: argparse.Namespace) -> argparse.Namespace:
@@ -332,11 +361,12 @@ def _apply_config(parser: argparse.ArgumentParser,
     if not isinstance(overrides, dict):
         parser.error("config must be a JSON object")
     sub = registry[args.command]
-    valid = {action.dest for action in sub._actions}
-    unknown = set(overrides) - valid
+    actions = {action.dest: action for action in sub._actions}
+    unknown = set(overrides) - set(actions)
     if unknown:
         parser.error(f"unknown config keys: {', '.join(sorted(unknown))}")
-    sub.set_defaults(**overrides)
+    sub.set_defaults(**{key: _config_value(parser, actions[key], key, value)
+                        for key, value in overrides.items()})
     # reparse so explicit command line flags still win over the config
     return parser.parse_args(argv)
 
@@ -352,6 +382,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exit_:
         return int(exit_.code or 0)
 
+    try:
+        return _run(args)
+    except BrokenPipeError:
+        # the reader of stdout went away: stop quietly, and point stdout at
+        # devnull so the flush at interpreter exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         reports = args.func(args)
     except ExpressionError as err:
@@ -374,6 +414,7 @@ def main(argv: list[str] | None = None) -> int:
             if note:
                 line += f" ({note})"
             print(line)
+    sys.stdout.flush()
     return 0 if all(r["status"] == "pass" for r in reports) else 1
 
 

@@ -10,11 +10,13 @@ minus as part of the atom rule, then * and /, then + and -):
 
 An integer followed by "/" and another integer is a single rational
 literal, so 1/2 is the number one half while 1/u is a division. Names
-come from the fixed vocabulary of field constants.
+come from the fixed vocabulary of field constants. Parentheses and
+unary minus nest at most MAX_NESTING deep.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +35,10 @@ __all__ = [
     "evaluate_expression",
     "format_expression",
 ]
+
+#: deepest nesting of "(" and unary "-" the parser accepts; each level
+#: costs a few stack frames here and in evaluation
+MAX_NESTING = 100
 
 
 class ExpressionError(ValueError):
@@ -101,6 +107,7 @@ class _Parser:
     def __init__(self, text: str) -> None:
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> tuple[str, str, int]:
         return self.tokens[min(self.index + ahead, len(self.tokens) - 1)]
@@ -158,6 +165,20 @@ class _Parser:
 
     def atom(self) -> Node:
         kind, text, pos = self.peek()
+        if kind == "op" and text in ("(", "-"):
+            self.advance()
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ExpressionError(
+                    f"expression nested more than {MAX_NESTING} deep", pos,
+                )
+            if text == "(":
+                node = self.expr()
+                self.expect_op(")")
+            else:
+                node = Unary(self.atom())
+            self.depth -= 1
+            return node
         if kind == "int":
             self.advance()
             # a rational literal only when an integer follows the slash
@@ -177,14 +198,6 @@ class _Parser:
                     f"unknown name {text!r} (known names: {known})", pos,
                 )
             return Name(text)
-        if kind == "op" and text == "(":
-            self.advance()
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        if kind == "op" and text == "-":
-            self.advance()
-            return Unary(self.atom())
         raise ExpressionError(
             "expected a number, name, or parenthesized expression", pos,
         )
@@ -201,6 +214,11 @@ def evaluate_expression(expression: str | Node) -> FieldElement:
     return _evaluate(node)
 
 
+_OPERATORS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+}
+
+
 def _evaluate(node: Node) -> FieldElement:
     if isinstance(node, Literal):
         return FieldElement.from_rational(node.value)
@@ -211,15 +229,16 @@ def _evaluate(node: Node) -> FieldElement:
     if isinstance(node, Pow):
         return _evaluate(node.base) ** node.exponent
     if isinstance(node, BinOp):
-        left = _evaluate(node.left)
-        right = _evaluate(node.right)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        return left / right
+        # a chain a + b + ... nests to the left; walk it with a loop so
+        # that its length costs no stack depth
+        chain = []
+        while isinstance(node, BinOp):
+            chain.append(node)
+            node = node.left
+        value = _evaluate(node)
+        for link in reversed(chain):
+            value = _OPERATORS[link.op](value, _evaluate(link.right))
+        return value
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .sic4 import embedded_projector
-from .weyl import displacement
+from .weyl import tau_phase
 
 __all__ = [
     "SearchConfig",
@@ -75,27 +75,28 @@ class SearchResult:
 
 
 @lru_cache(maxsize=None)
-def _displacement_stack(d: int) -> np.ndarray:
-    stack = np.empty((d * d, d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            stack[i * d + j] = displacement(d, i, j)
-    stack.setflags(write=False)
-    return stack
+def _tables(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index (k + i) mod d at [i, k], and omega^(jk) at [k, j]."""
+    r = np.arange(d)
+    shift = np.add.outer(r, r) % d
+    dft = np.exp(2j * np.pi / d * (np.outer(r, r) % d))
+    for table in (shift, dft):
+        table.setflags(write=False)
+    return shift, dft
 
 
 def _moments(d: int, psi: np.ndarray) -> np.ndarray:
-    """All d^2 first moments <psi|D(i,j)|psi>, row-major."""
-    stack = _displacement_stack(d)
-    return np.einsum("a,kab,b->k", psi.conj(), stack, psi)
+    """M[i, j] = sum_k omega^(jk) conj(psi[k + i]) psi[k]: D(i, j) is
+    monomial, so this is <psi|D(i,j)|psi> without its unit factor tau^(ij)."""
+    shift, dft = _tables(d)
+    return (psi[shift].conj() * psi) @ dft
 
 
 def sic_residual(d: int, psi: np.ndarray) -> float:
     """Sum of squared deviations of the overlaps from 1/(d+1)."""
     psi = np.asarray(psi, dtype=complex).reshape(d)
-    m = _moments(d, psi)
-    devs = np.abs(m) ** 2 - 1.0 / (d + 1)
-    return float(np.sum(devs[1:] ** 2))
+    devs = np.abs(_moments(d, psi)) ** 2 - 1.0 / (d + 1)
+    return float(np.sum(devs.flat[1:] ** 2))
 
 
 def residual_gradient(d: int, psi: np.ndarray) -> np.ndarray:
@@ -107,16 +108,14 @@ def residual_gradient(d: int, psi: np.ndarray) -> np.ndarray:
     sic_residual reproduce this vector directly.
     """
     psi = np.asarray(psi, dtype=complex).reshape(d)
-    stack = _displacement_stack(d)
+    shift, dft = _tables(d)
     m = _moments(d, psi)
     devs = np.abs(m) ** 2 - 1.0 / (d + 1)
-    devs[0] = 0.0
-    d_psi = np.einsum("kab,b->ka", stack, psi)
-    ddag_psi = np.einsum("kba,b->ka", stack.conj(), psi)
-    wirtinger = (
-        np.einsum("k,ka->a", 2 * devs * m.conj(), d_psi)
-        + np.einsum("k,ka->a", 2 * devs * m, ddag_psi)
-    )
+    devs[0, 0] = 0.0
+    # M[-i, -j] = omega^(-ij) conj(M[i, j]), so the conj(psi[k + i]) in
+    # M[i, j] and the conj(psi[k]) in conj(M[i, j]) contribute equally
+    weights = (2 * devs * m) @ dft.conj()
+    wirtinger = 2 * (weights * psi[shift]).sum(axis=0)
     return np.concatenate([2 * wirtinger.real, 2 * wirtinger.imag])
 
 
@@ -236,12 +235,13 @@ def extract_phases(psi: np.ndarray, tolerance: float = 1e-6) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     d = psi.shape[0]
     psi = _normalize(psi.reshape(d))
-    phases = np.sqrt(d + 1.0) * _moments(d, psi)
-    moduli = np.abs(phases[1:])
+    tau = tau_phase(d) ** (np.outer(range(d), range(d)) % (2 * d))  # tau^(2d) = 1
+    phases = np.sqrt(d + 1.0) * tau * _moments(d, psi)
+    moduli = np.abs(phases.flat[1:])
     worst = float(np.max(np.abs(moduli - 1.0)))
     if worst > tolerance:
         raise ValueError(
             f"state is not a fiducial: a phase modulus misses 1 by {worst:.3g}"
         )
-    phases[0] = 1.0
-    return phases.reshape(d, d)
+    phases[0, 0] = 1.0
+    return phases

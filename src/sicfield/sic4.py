@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -209,19 +210,48 @@ class Discriminant:
     squarefree_part: int
 
 
+#: largest dimension discriminant() accepts; trial division to the cube
+#: root of each factor stays well under a second up to here
+MAX_DISCRIMINANT_DIMENSION = 10**18
+
+
+def _squarefree_odd(n: int) -> int:
+    """Squarefree kernel of an odd n >= 1.
+
+    Trial division runs only while p^3 <= the cofactor: what is left then
+    has at most two prime factors, so it is squarefree unless a square.
+    """
+    kernel, p = 1, 3
+    while p * p * p <= n:
+        exponent = 0
+        while n % p == 0:
+            n //= p
+            exponent += 1
+        if exponent % 2:
+            kernel *= p
+        p += 2
+    root = isqrt(n)
+    return kernel if root * root == n else kernel * n
+
+
 def discriminant(d: int) -> Discriminant:
-    """(d - 3)(d + 1) and its squarefree kernel, for d >= 4.
+    """(d - 3)(d + 1) and its squarefree kernel, for 4 <= d <= 10^18.
 
     The squarefree part names the real quadratic field attached to the
     dimension; dimensions below 4 have no such field and are rejected.
+    gcd(d - 3, d + 1) divides 4, so once the factors of 2 are taken out
+    the two odd parts are coprime and their kernels multiply.
     """
     if d < 4:
         raise ValueError("the discriminant is defined for dimensions 4 and up")
-    value = (d - 3) * (d + 1)
-    rest = value
-    p = 2
-    while p * p <= rest:
-        while rest % (p * p) == 0:
-            rest //= p * p
-        p += 1
-    return Discriminant(d, value, rest)
+    if d > MAX_DISCRIMINANT_DIMENSION:
+        raise ValueError(
+            f"dimension above {MAX_DISCRIMINANT_DIMENSION} is not supported"
+        )
+    kernel, twos = 1, 0
+    for factor in (d - 3, d + 1):
+        while factor % 2 == 0:
+            factor //= 2
+            twos += 1
+        kernel *= _squarefree_odd(factor)
+    return Discriminant(d, (d - 3) * (d + 1), kernel * 2 ** (twos % 2))

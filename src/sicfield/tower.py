@@ -486,12 +486,8 @@ def substitution_map(image_u: FieldElement, image_r: FieldElement) -> LinearMap:
 
 @lru_cache(maxsize=1)
 def _conjugation() -> LinearMap:
-    """Complex conjugation as an integer matrix: u^k r^e -> u^-k r^e."""
-    powers = [[1] + [0] * 7]
-    for _ in range(7):
-        powers.append(_reduce_u(_poly_mul(powers[-1], _INV_U)))
-    zeros = [0] * 8
-    return LinearMap([p + zeros for p in powers] + [zeros + p for p in powers])
+    """Complex conjugation, the automorphism u -> 1/u, r -> r (g1)."""
+    return substitution_map(constant("u").inverse(), constant("r"))
 
 
 def substitute(elem: FieldElement, image_u: FieldElement,

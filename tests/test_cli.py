@@ -3,10 +3,11 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from sicfield.cli import main, render_number
+from sicfield.cli import EXIT_BROKEN_PIPE, main, render_number
 
 
 def run_cli(capsys, *argv):
@@ -112,6 +113,18 @@ class TestMinpoly:
         code, _, err = run_cli(capsys, "minpoly", "1/(u - u)")
         assert code == 2
         assert "error" in err
+
+    def test_deep_nesting_exits_2_with_the_offset(self, capsys):
+        code, out, err = run_cli(capsys, "minpoly", "(" * 3000 + "u" + ")" * 3000)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "nested" in err and "offset 100" in err
+
+    def test_long_flat_chain_evaluates(self, capsys):
+        code, out, _ = run_cli(capsys, "minpoly", "+".join(["u"] * 3000))
+        assert code == 0
+        assert out.startswith("t^8 - 18000000t^6")
 
     def test_extended_precision_agrees_with_double(self, capsys):
         _, fast = run_json(capsys, "minpoly", "tau * u2")
@@ -227,6 +240,18 @@ class TestDiscriminant:
         assert code == 2
         assert "error" in err
 
+    def test_thirteen_digit_dimension_is_quick(self, capsys):
+        start = time.perf_counter()
+        code, reports = run_json(capsys, "discriminant", "--dim", "1000000000038")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert reports[0]["details"]["value"] == 1000000000035 * 1000000000039
+
+    def test_dimension_above_the_bound_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "discriminant", "--dim", str(10**18 + 1))
+        assert code == 2
+        assert "error" in err
+
 
 class TestConfig:
     def test_config_supplies_defaults(self, capsys, tmp_path):
@@ -253,6 +278,31 @@ class TestConfig:
                                "--config", str(config))
         assert code == 2
         assert "bogus" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("json", "no"),
+        ("json", 1),
+        ("restarts", 2.5),
+        ("restarts", True),
+        ("tolerance", "fast"),
+        ("tolerance", False),
+        ("precision", "quad"),
+    ])
+    def test_badly_typed_value_exits_2(self, capsys, tmp_path, key, value):
+        config = tmp_path / "options.json"
+        config.write_text(json.dumps({key: value}))
+        code, out, err = run_cli(capsys, "search", "--dim", "2", "--restarts", "1",
+                                 "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert repr(key) in err
+
+    def test_values_read_as_on_the_command_line(self, capsys, tmp_path):
+        config = tmp_path / "options.json"
+        config.write_text(json.dumps({"dim": "5", "precision": "extended"}))
+        code, reports = run_json(capsys, "discriminant", "--config", str(config))
+        assert code == 0
+        assert reports[0]["details"]["value"] == 12
 
     def test_missing_file_rejected(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "discriminant", "--dim", "4",
@@ -281,3 +331,13 @@ class TestParsing:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "t^4 - 6t^2 + 4"
+
+    def test_reader_closing_early_leaves_stderr_empty(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sicfield.cli", "minpoly", "u", "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()  # before the interpreter has finished importing
+        _, err = proc.communicate(timeout=60)
+        assert err == b""
+        assert proc.returncode == EXIT_BROKEN_PIPE

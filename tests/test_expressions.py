@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sicfield.expressions import (
+    MAX_NESTING,
     BinOp,
     ExpressionError,
     Literal,
@@ -97,6 +98,14 @@ class TestParseErrors:
     def test_empty_input(self):
         with pytest.raises(ExpressionError):
             parse_expression("")
+
+    def test_nesting_limit_counts_parens_and_unary_minus(self):
+        pairs = MAX_NESTING // 2
+        closing = ")" * pairs
+        assert evaluate_expression("-(" * pairs + "u" + closing) == constant("u")
+        with pytest.raises(ExpressionError) as err:
+            parse_expression("-(" * pairs + "-u" + closing)
+        assert err.value.offset == 2 * pairs
 
 
 class TestEvaluation:

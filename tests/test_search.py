@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,64 @@ from sicfield.search import (
     sic_residual,
 )
 from sicfield.tower import embed
+from sicfield.weyl import displacement
 
 
 def random_unit(d, seed):
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=d) + 1j * rng.normal(size=d)
     return psi / np.linalg.norm(psi)
+
+
+def reference_values(d, psi):
+    """Residual, gradient and fourth moment from the d^2 dense
+    displacement matrices, the definition the search kernel must match."""
+    stack = np.array([displacement(d, i, j) for i in range(d) for j in range(d)])
+    m = np.einsum("a,kab,b->k", psi.conj(), stack, psi)
+    devs = np.abs(m) ** 2 - 1.0 / (d + 1)
+    devs[0] = 0.0
+    d_psi = np.einsum("kab,b->ka", stack, psi)
+    ddag_psi = np.einsum("kba,b->ka", stack.conj(), psi)
+    wirtinger = (
+        np.einsum("k,ka->a", 2 * devs * m.conj(), d_psi)
+        + np.einsum("k,ka->a", 2 * devs * m, ddag_psi)
+    )
+    gradient = np.concatenate([2 * wirtinger.real, 2 * wirtinger.imag])
+    return float(np.sum(devs**2)), gradient, float(np.sum(np.abs(m) ** 4))
+
+
+class TestKernel:
+    @pytest.mark.parametrize("d", (*range(2, 10), 12, 16))
+    def test_matches_the_displacement_definition(self, d):
+        psi = random_unit(d, 100 + d)
+        residual, gradient, moment = reference_values(d, psi)
+        assert abs(sic_residual(d, psi) - residual) <= 1e-12 * max(1, residual)
+        got = residual_gradient(d, psi)
+        assert np.max(np.abs(got - gradient)) <= 1e-12 * max(1, np.max(np.abs(gradient)))
+        assert abs(fourth_moment(d, psi) - moment) <= 1e-12 * max(1, moment)
+
+    @pytest.mark.parametrize("d", (2, 3, 4))
+    def test_phases_carry_the_tau_factor(self, d):
+        psi = known_fiducial(d)
+        phases = extract_phases(psi)
+        for i in range(d):
+            for j in range(d):
+                if (i, j) == (0, 0):
+                    continue
+                want = np.sqrt(d + 1) * (psi.conj() @ displacement(d, i, j) @ psi)
+                assert abs(phases[i, j] - want) < 1e-12
+
+    def test_memory_stays_quadratic_in_d(self):
+        # the d^2 dense displacement matrices at d = 64 alone take 268 MB
+        psi = random_unit(64, 5)
+        tracemalloc.start()
+        try:
+            residual_gradient(64, psi)
+            sic_residual(64, psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
 
 class TestResidual:
@@ -38,8 +92,6 @@ class TestResidual:
 
     @pytest.mark.parametrize("d", (2, 3, 4))
     def test_orbit_invariance(self, d):
-        from sicfield.weyl import displacement
-
         psi = random_unit(d, 23)
         r0 = sic_residual(d, psi)
         for i in range(d):

@@ -147,6 +147,21 @@ class TestDiscriminant:
             with pytest.raises(ValueError):
                 discriminant(d)
 
+    def test_agrees_with_trial_division_by_every_integer(self):
+        for d in range(4, 3001):
+            rest = (d - 3) * (d + 1)
+            p = 2
+            while p * p <= rest:
+                while rest % (p * p) == 0:
+                    rest //= p * p
+                p += 1
+            assert discriminant(d).squarefree_part == rest, d
+
+    def test_rejects_dimensions_above_the_bound(self):
+        assert discriminant(10**18).value == (10**18 - 3) * (10**18 + 1)
+        with pytest.raises(ValueError):
+            discriminant(10**18 + 1)
+
     def test_squarefree_part_is_squarefree_and_divides(self):
         for d in range(4, 40):
             result = discriminant(d)
