@@ -31,7 +31,7 @@ from typing import Any
 
 import mpmath
 
-from .expressions import ExpressionError, evaluate_expression
+from .expressions import evaluate_expression
 from .galois import (
     action_table,
     certify_structure,
@@ -51,7 +51,7 @@ from .sic4 import (
     reconstruct_projector,
     verify_sic_projector,
 )
-from .tower import CONSTANT_NAMES, FieldElement, constant, embed
+from .tower import FieldElement, constant, embed
 
 EXTENDED_DPS = 50
 
@@ -84,13 +84,8 @@ def render_complex(value: Any) -> str:
 
 
 def serialize_element(elem: FieldElement, precision: str) -> dict:
-    if precision == "extended":
-        with mpmath.workdps(EXTENDED_DPS):
-            z = embed(elem, dps=EXTENDED_DPS)
-            approx = {"re": render_number(z.real), "im": render_number(z.imag)}
-    else:
-        z = embed(elem)
-        approx = {"re": render_number(z.real), "im": render_number(z.imag)}
+    z = embed(elem, EXTENDED_DPS if precision == "extended" else None)
+    approx = {"re": render_number(z.real), "im": render_number(z.imag)}
     return {"coords": [str(c) for c in elem.coords], "approx": approx}
 
 
@@ -281,30 +276,25 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         description="exact arithmetic for the dimension-4 SIC and friends",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    registry: dict[str, argparse.ArgumentParser] = {}
 
     p = subs.add_parser("verify-d4", parents=[common],
                         help="exact checks on the dimension-4 projector")
     p.add_argument("--corrupt", type=_corrupt_pair, metavar="I,J", default=None,
                    help="negate one phase first, as a negative control")
     p.set_defaults(func=cmd_verify_d4)
-    registry["verify-d4"] = p
 
     p = subs.add_parser("minpoly", parents=[common],
                         help="minimal polynomial of a field expression")
     p.add_argument("expression")
     p.set_defaults(func=cmd_minpoly)
-    registry["minpoly"] = p
 
     p = subs.add_parser("galois", parents=[common],
                         help="Galois group census and certification")
     p.set_defaults(func=cmd_galois)
-    registry["galois"] = p
 
     p = subs.add_parser("units", parents=[common],
                         help="audit the phases and the named units")
     p.set_defaults(func=cmd_units)
-    registry["units"] = p
 
     # --dim is checked by the handler, not argparse, so a config file
     # can supply it
@@ -316,15 +306,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--tolerance", type=float, default=1e-10)
     p.add_argument("--max-iterations", type=int, default=20_000)
     p.set_defaults(func=cmd_search)
-    registry["search"] = p
 
     p = subs.add_parser("discriminant", parents=[common],
                         help="(d - 3)(d + 1) and its squarefree part")
     p.add_argument("--dim", type=int, default=None)
     p.set_defaults(func=cmd_discriminant)
-    registry["discriminant"] = p
 
-    return parser, registry
+    return parser, subs.choices
 
 
 def _config_value(parser: argparse.ArgumentParser, action: argparse.Action,
@@ -394,13 +382,8 @@ def main(argv: list[str] | None = None) -> int:
 def _run(args: argparse.Namespace) -> int:
     try:
         reports = args.func(args)
-    except ExpressionError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ZeroDivisionError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
+    except (ValueError, ZeroDivisionError) as err:
+        # ExpressionError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 2
 

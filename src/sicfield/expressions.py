@@ -64,11 +64,32 @@ class Unary:
     operand: Node
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinOp:
     op: str
     left: Node
     right: Node
+
+    # a chain a + b + ... nests to the left; compare and hash it with a
+    # loop so that its length costs no stack depth
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BinOp):
+            return NotImplemented
+        a, b = self, other
+        while isinstance(a, BinOp) and isinstance(b, BinOp):
+            if a is b:
+                return True
+            if a.op != b.op or a.right != b.right:
+                return False
+            a, b = a.left, b.left
+        return a == b
+
+    def __hash__(self) -> int:
+        chain = _left_chain(self)
+        value = hash(chain[-1].left)
+        for link in reversed(chain):
+            value = hash((value, link.op, link.right))
+        return value
 
 
 @dataclass(frozen=True)
@@ -78,6 +99,16 @@ class Pow:
 
 
 Node = Union[Literal, Name, Unary, BinOp, Pow]
+
+
+def _left_chain(node: BinOp) -> list[BinOp]:
+    """node and its BinOp left descendants, outermost first."""
+    chain = []
+    while isinstance(node, BinOp):
+        chain.append(node)
+        node = node.left
+    return chain
+
 
 _TOKEN = re.compile(
     r"(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()])"
@@ -229,13 +260,8 @@ def _evaluate(node: Node) -> FieldElement:
     if isinstance(node, Pow):
         return _evaluate(node.base) ** node.exponent
     if isinstance(node, BinOp):
-        # a chain a + b + ... nests to the left; walk it with a loop so
-        # that its length costs no stack depth
-        chain = []
-        while isinstance(node, BinOp):
-            chain.append(node)
-            node = node.left
-        value = _evaluate(node)
+        chain = _left_chain(node)
+        value = _evaluate(chain[-1].left)
         for link in reversed(chain):
             value = _OPERATORS[link.op](value, _evaluate(link.right))
         return value
@@ -279,16 +305,18 @@ def format_expression(node: Node) -> str:
             base = f"({base})"
         return f"{base}^{node.exponent}"
     if isinstance(node, BinOp):
-        me = _PRECEDENCE[node.op]
-        left = format_expression(node.left)
-        if _level(node.left) < me:
-            left = f"({left})"
-        right = format_expression(node.right)
-        # the grammar associates left, so a same-level right child needs
-        # parentheses to come back in the same shape
-        if _level(node.right) <= me or (
-            node.op == "/" and _merges_across_slash(left, right)
-        ):
-            right = f"({right})"
-        return f"{left} {node.op} {right}"
+        chain = _left_chain(node)
+        text = format_expression(chain[-1].left)
+        for link in reversed(chain):
+            me = _PRECEDENCE[link.op]
+            left = f"({text})" if _level(link.left) < me else text
+            right = format_expression(link.right)
+            # the grammar associates left, so a same-level right child
+            # needs parentheses to come back in the same shape
+            if _level(link.right) <= me or (
+                link.op == "/" and _merges_across_slash(left, right)
+            ):
+                right = f"({right})"
+            text = f"{left} {link.op} {right}"
+        return text
     raise TypeError(f"not an expression node: {node!r}")

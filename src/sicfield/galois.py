@@ -17,8 +17,9 @@ compose right to left: (sigma * phi)(e) = sigma(phi(e)).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .tower import (
     FieldElement,
@@ -197,10 +198,12 @@ def element_order(g: Automorphism) -> int:
 
 
 def _census(orders: Iterable[int]) -> dict[int, int]:
-    census: dict[int, int] = {}
-    for order in orders:
-        census[order] = census.get(order, 0) + 1
-    return census
+    return dict(Counter(orders))
+
+
+def _commute(table: list[list[int]], xs: Collection[int], ys: Collection[int]) -> bool:
+    """Whether every index in xs commutes with every index in ys."""
+    return all(table[i][j] == table[j][i] for i in xs for j in ys)
 
 
 def order_census(group: Sequence[Automorphism]) -> dict[int, int]:
@@ -208,18 +211,14 @@ def order_census(group: Sequence[Automorphism]) -> dict[int, int]:
 
 
 def is_abelian(group: Sequence[Automorphism]) -> bool:
-    table = multiplication_table(group)
-    n = len(group)
-    return all(table[i][j] == table[j][i] for i in range(n) for j in range(i))
+    indices = range(len(group))
+    return _commute(multiplication_table(group), indices, indices)
 
 
 def center(group: Sequence[Automorphism]) -> list[Automorphism]:
     table = multiplication_table(group)
-    n = len(group)
-    return [
-        group[i] for i in range(n)
-        if all(table[i][j] == table[j][i] for j in range(n))
-    ]
+    indices = range(len(group))
+    return [group[i] for i in indices if _commute(table, (i,), indices)]
 
 
 def is_normal(group: Sequence[Automorphism],
@@ -280,21 +279,19 @@ def certify_structure(group: Sequence[Automorphism]) -> StructureCertificate:
     identity = next(k for k, g in enumerate(group) if g.is_identity())
     orders = [_index_order(table, identity, k) for k in range(order)]
     census = _census(orders)
-    abelian = all(table[i][j] == table[j][i] for i in range(order) for j in range(i))
+    abelian = _commute(table, range(order), range(order))
     failed = StructureCertificate(order, census, abelian, None, None, None)
     if order != 16 or abelian or census != {1: 1, 2: 11, 4: 4}:
         return failed
-    central = [
-        k for k in range(order)
-        if orders[k] == 2 and all(table[k][j] == table[j][k] for j in range(order))
-    ]
+    central = [k for k in range(order)
+               if orders[k] == 2 and _commute(table, (k,), range(order))]
     for z in central:
         for a in range(order):
             for b in range(a):
                 sub = _closure_indices(table, identity, [a, b])
                 if len(sub) != 8 or z in sub:
                     continue
-                if all(table[i][j] == table[j][i] for i in sub for j in sub):
+                if _commute(table, sub, sub):
                     continue
                 involutions = sum(1 for k in sub if orders[k] == 2)
                 if involutions == 5:

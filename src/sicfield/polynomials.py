@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
 
@@ -50,14 +50,6 @@ class RatPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def coefficient(self, power: int) -> Fraction:
         if 0 <= power < len(self.coeffs):
@@ -267,11 +259,4 @@ def palindromic_lift(p: RatPoly, n: int | None = None) -> RatPoly:
         if c == 0:
             continue
         out = out + RatPoly.monomial(n - k, c) * shifted**k
-    return out
-
-
-def from_roots(roots: Sequence[Scalar]) -> RatPoly:
-    out = RatPoly.one()
-    for root in roots:
-        out = out * RatPoly((-Fraction(root), 1))
     return out

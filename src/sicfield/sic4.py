@@ -41,6 +41,10 @@ __all__ = [
 ]
 
 
+#: the (shift, clock) index of every displacement but the identity
+_NONTRIVIAL = tuple((i, j) for i in range(4) for j in range(4) if (i, j) != (0, 0))
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -68,7 +72,7 @@ def canonical_phase_matrix(negate_entry: tuple[int, int] | None = None) -> Matri
     if negate_entry is None:
         return rows
     i, j = negate_entry
-    if not (0 <= i < 4 and 0 <= j < 4) or (i, j) == (0, 0):
+    if (i, j) not in _NONTRIVIAL:
         raise ValueError("negate_entry must be a nontrivial index pair")
     return tuple(
         tuple(-rows[a][b] if (a, b) == (i, j) else rows[a][b] for b in range(4))
@@ -82,15 +86,12 @@ def reconstruct_projector(phases: Matrix | None = None) -> Matrix:
         phases = canonical_phase_matrix()
     inv_sqrt5 = constant("sqrt5") / 5
     acc = matrices.identity(4)
-    for i in range(4):
-        for j in range(4):
-            if (i, j) == (0, 0):
-                continue
-            term = matrices.mat_scale(
-                phases[i][j] * inv_sqrt5,
-                matrices.dagger(displacement_exact(i, j)),
-            )
-            acc = matrices.mat_add(acc, term)
+    for i, j in _NONTRIVIAL:
+        term = matrices.mat_scale(
+            phases[i][j] * inv_sqrt5,
+            matrices.dagger(displacement_exact(i, j)),
+        )
+        acc = matrices.mat_add(acc, term)
     quarter = FieldElement.from_rational(Fraction(1, 4))
     return matrices.mat_scale(quarter, acc)
 
@@ -131,14 +132,11 @@ def verify_sic_projector(proj: Matrix | None = None) -> list[CheckResult]:
         CheckResult("idempotent", matrices.mat_mul(proj, proj) == proj),
     ]
     target = FieldElement.from_rational(Fraction(1, 5))
-    for i in range(4):
-        for j in range(4):
-            if (i, j) == (0, 0):
-                continue
-            value = overlap(proj, i, j)
-            ok = value == target
-            detail = "" if ok else f"value approx {embed(value):.6g}"
-            results.append(CheckResult(f"overlap_{i}{j}", ok, detail))
+    for i, j in _NONTRIVIAL:
+        value = overlap(proj, i, j)
+        ok = value == target
+        detail = "" if ok else f"value approx {embed(value):.6g}"
+        results.append(CheckResult(f"overlap_{i}{j}", ok, detail))
     return results
 
 
@@ -147,14 +145,11 @@ def hermiticity_symmetry_holds(phases: Matrix | None = None) -> bool:
     up to the parity sign the displacement adjoint picks up."""
     if phases is None:
         phases = canonical_phase_matrix()
-    for i in range(4):
-        for j in range(4):
-            if (i, j) == (0, 0):
-                continue
-            sign = displacement_dagger_sign(4, i, j)
-            mirrored = phases[(-i) % 4][(-j) % 4]
-            if phases[i][j].conjugate() != sign * mirrored:
-                return False
+    for i, j in _NONTRIVIAL:
+        sign = displacement_dagger_sign(4, i, j)
+        mirrored = phases[(-i) % 4][(-j) % 4]
+        if phases[i][j].conjugate() != sign * mirrored:
+            return False
     return True
 
 
@@ -162,10 +157,7 @@ def phases_in_inner_field(phases: Matrix | None = None) -> bool:
     """All 15 phases lie in Q(u): their r parts vanish."""
     if phases is None:
         phases = canonical_phase_matrix()
-    return all(
-        phases[i][j].r_part.is_zero()
-        for i in range(4) for j in range(4) if (i, j) != (0, 0)
-    )
+    return all(phases[i][j].r_part.is_zero() for i, j in _NONTRIVIAL)
 
 
 @dataclass(frozen=True)
@@ -181,18 +173,15 @@ def phase_unit_audit(phases: Matrix | None = None) -> list[PhaseAudit]:
     if phases is None:
         phases = canonical_phase_matrix()
     audits = []
-    for i in range(4):
-        for j in range(4):
-            if (i, j) == (0, 0):
-                continue
-            z = phases[i][j]
-            result = minimal_polynomial(z)
-            audits.append(PhaseAudit(
-                index=(i, j),
-                unit_modulus=z * z.conjugate() == 1,
-                algebraic_unit=result.is_unit,
-                minpoly_degree=result.degree,
-            ))
+    for i, j in _NONTRIVIAL:
+        z = phases[i][j]
+        result = minimal_polynomial(z)
+        audits.append(PhaseAudit(
+            index=(i, j),
+            unit_modulus=z * z.conjugate() == 1,
+            algebraic_unit=result.is_unit,
+            minpoly_degree=result.degree,
+        ))
     return audits
 
 

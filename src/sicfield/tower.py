@@ -49,23 +49,6 @@ U_MIN_POLY = RatPoly([1, 0, -2, 0, -2, 0, -2, 0, 1])
 #: minimal polynomial of x = u + 1/u over Q: t^4 - 6t^2 + 4
 X_MIN_POLY = RatPoly([4, 0, -6, 0, 1])
 
-# 1/u = 2u + 2u^3 + 2u^5 - u^7, read off the minimal polynomial.
-_INV_U = (0, 2, 0, 2, 0, 2, 0, -1)
-_INV_U_POLY = RatPoly(_INV_U)
-
-_X_POLY = RatPoly.monomial(1) + _INV_U_POLY
-
-# c = 2/x = 3x - x^3/2, read off x^4 - 6x^2 + 4 = 0.
-_C_POLY = (3 * _X_POLY - _X_POLY**3 / 2) % U_MIN_POLY
-
-if (_C_POLY * _X_POLY) % U_MIN_POLY != RatPoly([2]):
-    raise AssertionError("tower bootstrap failed: c * x != 2")
-
-
-def _pad8(poly: RatPoly) -> tuple[Fraction, ...]:
-    cs = list(poly.coeffs) + [Fraction(0)] * (8 - len(poly.coeffs))
-    return tuple(cs)
-
 
 def _as_scalar(value: object) -> Fraction | None:
     if isinstance(value, int):
@@ -101,6 +84,17 @@ def _reduce_u(p: Sequence[int]) -> list[int]:
     return p[:8]
 
 
+# 1/u = 2u + 2u^3 + 2u^5 - u^7, read off the minimal polynomial.
+_INV_U = (0, 2, 0, 2, 0, 2, 0, -1)
+
+# x = u + 1/u, and 2c = 4/x = 6x - x^3, read off x^4 - 6x^2 + 4 = 0.
+_X = tuple(a + (k == 1) for k, a in enumerate(_INV_U))
+_C2 = tuple(6 * a - b for a, b in zip(_X, _reduce_u(_poly_mul(_X, _poly_mul(_X, _X)))))
+
+if _reduce_u(_poly_mul(_C2, _X)) != [4] + [0] * 7:
+    raise AssertionError("tower bootstrap failed: c * x != 2")
+
+
 def _sparse(vec: Sequence[int]) -> tuple[tuple[int, int], ...]:
     return tuple((k, x) for k, x in enumerate(vec) if x)
 
@@ -114,7 +108,6 @@ def _structure() -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
     a denominator, so the doubled entries are integers; 848 of the 4096
     are nonzero.
     """
-    c2 = [int(2 * q) for q in _pad8(_C_POLY)]
     table = []
     for i in range(16):
         row = []
@@ -127,7 +120,7 @@ def _structure() -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
             elif r_power == 1:
                 vec = [0] * 8 + doubled
             else:
-                vec = [-x for x in doubled] + [-x for x in _reduce_u(_poly_mul(u_power, c2))]
+                vec = [-x for x in doubled] + [-x for x in _reduce_u(_poly_mul(u_power, _C2))]
             row.append(_sparse(vec))
         table.append(tuple(row))
     return tuple(table)
@@ -145,7 +138,7 @@ class FieldElement:
     numerators and den is 1, so equal elements have equal fields.
     """
 
-    __slots__ = ("nums", "den", "_coords")
+    __slots__ = ("nums", "den")
 
     nums: tuple[int, ...]
     den: int
@@ -155,7 +148,8 @@ class FieldElement:
         if len(cs) != 16:
             raise ValueError("a field element has exactly 16 coordinates")
         den = lcm(*(c.denominator for c in cs))
-        _init(self, tuple(c.numerator * (den // c.denominator) for c in cs), den)
+        _SET_NUMS(self, tuple(c.numerator * (den // c.denominator) for c in cs))
+        _SET_DEN(self, den)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("FieldElement is immutable")
@@ -169,13 +163,10 @@ class FieldElement:
 
     @classmethod
     def from_u_poly(cls, poly: RatPoly | Sequence[Scalar]) -> FieldElement:
+        """The polynomial evaluated at u."""
         if not isinstance(poly, RatPoly):
             poly = RatPoly(poly)
-        return cls(_pad8(poly % U_MIN_POLY) + (Fraction(0),) * 8)
-
-    @classmethod
-    def from_parts(cls, u_part: RatPoly, r_part: RatPoly) -> FieldElement:
-        return cls(_pad8(u_part % U_MIN_POLY) + _pad8(r_part % U_MIN_POLY))
+        return _coerce(poly(constant("u")))
 
     @classmethod
     def zero(cls) -> FieldElement:
@@ -190,9 +181,7 @@ class FieldElement:
     @property
     def coords(self) -> tuple[Fraction, ...]:
         """The 16 coordinates as reduced fractions."""
-        if self._coords is None:
-            _SET_COORDS(self, tuple(Fraction(n, self.den) for n in self.nums))
-        return self._coords
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     @property
     def u_part(self) -> RatPoly:
@@ -351,19 +340,13 @@ class FieldElement:
 
 _SET_NUMS = FieldElement.nums.__set__
 _SET_DEN = FieldElement.den.__set__
-_SET_COORDS = FieldElement._coords.__set__
-
-
-def _init(elem: FieldElement, nums: tuple[int, ...], den: int) -> None:
-    _SET_NUMS(elem, nums)
-    _SET_DEN(elem, den)
-    _SET_COORDS(elem, None)
 
 
 def _make(nums: tuple[int, ...], den: int) -> FieldElement:
     """An element from numerators and denominator already in canonical form."""
     elem = object.__new__(FieldElement)
-    _init(elem, nums, den)
+    _SET_NUMS(elem, nums)
+    _SET_DEN(elem, den)
     return elem
 
 
@@ -506,10 +489,12 @@ def substitute_with_powers(elem: FieldElement,
 def defining_relations_hold(image_u: FieldElement,
                             image_r: FieldElement) -> bool:
     """Whether the pair of images satisfies the tower's two relations,
-    i.e. extends to a field automorphism."""
+    i.e. extends to a field automorphism. c = 2/(u + 1/u) is carried
+    through the map by its definition; the octic is checked first, so
+    image_u + 1/image_u is a conjugate of x and nonzero."""
     if not U_MIN_POLY(image_u).is_zero():
         return False
-    c = _C_POLY(image_u)
+    c = 2 / (image_u + image_u.inverse())
     return (image_r * image_r + c * image_r + 1).is_zero()
 
 
@@ -523,10 +508,10 @@ CONSTANT_NAMES = (
 
 @lru_cache(maxsize=1)
 def _constants() -> dict[str, FieldElement]:
-    u = FieldElement.from_u_poly(RatPoly.monomial(1))
-    inv_u = FieldElement.from_u_poly(_INV_U_POLY)
-    r = FieldElement((0,) * 8 + (1,) + (0,) * 7)
-    c = FieldElement.from_u_poly(_C_POLY)
+    u = _make((0, 1) + (0,) * 14, 1)
+    inv_u = _make(_INV_U + (0,) * 8, 1)
+    r = _make((0,) * 8 + (1,) + (0,) * 7, 1)
+    c = _reduced(list(_C2) + [0] * 8, 2)
     inv_r = -(r + c)  # r^2 + c r + 1 = 0 gives 1/r = -(r + c)
     x = u + inv_u
     sqrt5 = 3 - x * x

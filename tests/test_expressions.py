@@ -173,6 +173,12 @@ class TestFormatting:
         ast = parse_expression("u / (r * x)")
         assert parse_expression(format_expression(ast)) == ast
 
+    def test_long_chain_formats_compares_and_hashes(self):
+        ast = parse_expression("+".join(["u"] * 3000))
+        assert parse_expression(format_expression(ast)) == ast
+        assert hash(ast) == hash(parse_expression(format_expression(ast)))
+        assert ast != parse_expression("+".join(["u"] * 2999) + "-u")
+
     def test_literal_power_quirk_is_value_safe(self):
         # an AST shaped a/(b^n) must not print as a / b^n, which would
         # reparse as (a/b)^n

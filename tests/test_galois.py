@@ -16,7 +16,7 @@ from sicfield.galois import (
     order_census,
     standard_generators,
 )
-from sicfield.tower import FieldElement, constant, embed
+from sicfield.tower import FieldElement, constant, defining_relations_hold, embed
 
 GENS = standard_generators()
 G1, G2, G3, G4 = GENS["g1"], GENS["g2"], GENS["g3"], GENS["g4"]
@@ -49,6 +49,17 @@ class TestAutomorphismValidation:
             Automorphism(U, -R)
         with pytest.raises(ValueError):
             Automorphism(-U, R)
+
+    def test_relation_check_accepts_exactly_the_group_pairs(self):
+        # 8 images of u and 8 of r make 64 pairs; the 16 automorphisms
+        # are exactly the pairs that satisfy both relations
+        group_pairs = {(g.image_u, g.image_r) for g in GROUP}
+        u_images = {u for u, _ in group_pairs}
+        r_images = {r for _, r in group_pairs}
+        assert len(group_pairs) == 16 and len(u_images) == len(r_images) == 8
+        accepted = {(u, r) for u in u_images for r in r_images
+                    if defining_relations_hold(u, r)}
+        assert accepted == group_pairs
 
     def test_identity(self):
         assert Automorphism.identity().is_identity()

@@ -27,6 +27,8 @@ SQRT2 = constant("sqrt2")
 SQRT5 = constant("sqrt5")
 ISQRT = constant("isqrt_sqrt5p1")
 
+_REFERENCE = {name: constant(name) for name in CONSTANT_NAMES}
+
 # frozen from a 30-digit evaluation of the defining radicals
 EMBED_U = complex(0.4370160244488211, 0.8994537199739336)
 EMBED_R = -1.7000157758867898
@@ -86,6 +88,20 @@ class TestReductionRules:
 
 
 class TestNamedConstants:
+    def test_built_without_polynomial_division(self, monkeypatch):
+        from sicfield import sic4, tower, weyl
+
+        def no_division(self, divisor):
+            raise AssertionError("polynomial division")
+
+        monkeypatch.setattr(RatPoly, "__divmod__", no_division)
+        for cached in (tower._constants, tower._structure, tower._conjugation,
+                       weyl._tau_powers, sic4.fiducial_projector):
+            cached.cache_clear()
+        for name in CONSTANT_NAMES:
+            assert constant(name) == _REFERENCE[name]
+        assert all(check.passed for check in sic4.verify_sic_projector())
+
     def test_all_names_resolve(self):
         for name in CONSTANT_NAMES:
             assert isinstance(constant(name), FieldElement)
@@ -163,11 +179,15 @@ class TestFieldOps:
     def test_tensor_product_matches_polynomial_reduction(self, a, b):
         # independent route: multiply the Q(u) parts as polynomials and
         # reduce with the octic and r^2 = -1 - c r, c = 2/x
+        def reduced(poly):
+            coeffs = list((poly % U_MIN_POLY).coeffs)
+            return coeffs + [0] * (8 - len(coeffs))
+
         c = 2 / X
         ac, bd = a.u_part * b.u_part, a.r_part * b.r_part
         cross = a.u_part * b.r_part + a.r_part * b.u_part
-        expected = (FieldElement.from_parts(ac, cross)
-                    - FieldElement.from_u_poly(bd) * (1 + c * R))
+        expected = (FieldElement(reduced(ac) + reduced(cross))
+                    - FieldElement(reduced(bd) + [0] * 8) * (1 + c * R))
         assert a * b == expected
 
     @given(field_elements(), field_elements())
