@@ -11,7 +11,9 @@ minus as part of the atom rule, then * and /, then + and -):
 An integer followed by "/" and another integer is a single rational
 literal, so 1/2 is the number one half while 1/u is a division. Names
 come from the fixed vocabulary of field constants. Parentheses and
-unary minus nest at most MAX_NESTING deep.
+unary minus nest at most MAX_NESTING deep, and evaluation refuses any
+literal, power or operation whose value would need more than
+MAX_VALUE_BITS bits.
 """
 
 from __future__ import annotations
@@ -39,6 +41,11 @@ __all__ = [
 #: deepest nesting of "(" and unary "-" the parser accepts; each level
 #: costs a few stack frames here and in evaluation
 MAX_NESTING = 100
+
+#: largest numerator or denominator, in bits, that evaluation builds; the
+#: minimal polynomial of a degree-8 element takes seconds at this size and
+#: grows about fourfold with each doubling
+MAX_VALUE_BITS = 8192
 
 
 class ExpressionError(ValueError):
@@ -250,20 +257,41 @@ _OPERATORS = {
 }
 
 
+def _bits(value: FieldElement) -> int:
+    return max(n.bit_length() for n in (*value.nums, value.den))
+
+
+def _check_size(bits: int) -> None:
+    if bits > MAX_VALUE_BITS:
+        raise ValueError(f"value of about {bits} bits exceeds the "
+                         f"{MAX_VALUE_BITS}-bit bound")
+
+
 def _evaluate(node: Node) -> FieldElement:
     if isinstance(node, Literal):
-        return FieldElement.from_rational(node.value)
+        value = FieldElement.from_rational(node.value)
+        _check_size(_bits(value))
+        return value
     if isinstance(node, Name):
         return constant(node.name)
     if isinstance(node, Unary):
         return -_evaluate(node.operand)
     if isinstance(node, Pow):
-        return _evaluate(node.base) ** node.exponent
+        base, n = _evaluate(node.base), node.exponent
+        if n < 0:
+            base, n = base.inverse(), -n
+        # the bits of base^n grow about n-fold: refuse a power far over the
+        # bound before computing it, and one just over it after
+        _check_size(n * max(1, _bits(base)))
+        value = base**n
+        _check_size(_bits(value))
+        return value
     if isinstance(node, BinOp):
         chain = _left_chain(node)
         value = _evaluate(chain[-1].left)
         for link in reversed(chain):
             value = _OPERATORS[link.op](value, _evaluate(link.right))
+            _check_size(_bits(value))
         return value
     raise TypeError(f"not an expression node: {node!r}")
 

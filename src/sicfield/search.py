@@ -12,6 +12,7 @@ so any single restart can be reproduced in isolation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,6 +33,12 @@ __all__ = [
     "extract_phases",
 ]
 
+#: the line search's first step in each restart, and its shrink per rejection
+INITIAL_STEP = 1.0
+SHRINK_FACTOR = 0.5
+#: how far extract_phases lets a phase modulus miss 1
+PHASE_TOLERANCE = 1e-6
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -40,17 +47,17 @@ class SearchConfig:
     max_iterations: int = 20_000
     tolerance: float = 1e-10
     rng_seed: int = 0
-    initial_step: float = 1.0
-    shrink_factor: float = 0.5
     stop_on_converged: bool = True
 
     def __post_init__(self) -> None:
         if self.dimension < 2:
             raise ValueError("dimension must be at least 2")
-        if not 0 < self.shrink_factor < 1:
-            raise ValueError("shrink factor must lie in (0, 1)")
         if self.restarts < 1:
             raise ValueError("at least one restart is required")
+        if self.max_iterations < 0:
+            raise ValueError("max iterations must not be negative")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be a positive finite number")
 
 
 @dataclass(frozen=True)
@@ -151,16 +158,12 @@ def _normalize(psi: np.ndarray) -> np.ndarray:
     return psi / norm
 
 
-def _random_state(d: int, rng: np.random.Generator) -> np.ndarray:
-    return _normalize(rng.normal(size=d) + 1j * rng.normal(size=d))
-
-
 def _single_run(config: SearchConfig, psi0: np.ndarray,
                 restart_index: int) -> RestartResult:
     d = config.dimension
     psi = _normalize(np.asarray(psi0, dtype=complex).reshape(d))
     residual = sic_residual(d, psi)
-    step = config.initial_step
+    step = INITIAL_STEP
     iterations = 0
     converged = residual < config.tolerance
     while not converged and iterations < config.max_iterations:
@@ -180,7 +183,7 @@ def _single_run(config: SearchConfig, psi0: np.ndarray,
                 step = alpha * 2
                 improved = True
                 break
-            alpha *= config.shrink_factor
+            alpha *= SHRINK_FACTOR
         iterations += 1
         if not improved:
             break
@@ -198,20 +201,17 @@ def search(config: SearchConfig,
     """
     d = config.dimension
     results: list[RestartResult] = []
-    best: RestartResult | None = None
     for k in range(config.restarts):
         if k == 0 and initial is not None:
             psi0 = np.asarray(initial, dtype=complex).reshape(d)
         else:
             rng = np.random.default_rng([config.rng_seed, k])
-            psi0 = _random_state(d, rng)
+            psi0 = _normalize(rng.normal(size=d) + 1j * rng.normal(size=d))
         result = _single_run(config, psi0, k)
         results.append(result)
-        if best is None or result.residual < best.residual:
-            best = result
-        if best.converged and config.stop_on_converged:
+        if result.converged and config.stop_on_converged:
             break
-    assert best is not None
+    best = min(results, key=lambda r: r.residual)
     return SearchResult(
         dimension=d,
         converged=best.converged,
@@ -224,11 +224,11 @@ def search(config: SearchConfig,
     )
 
 
-def extract_phases(psi: np.ndarray, tolerance: float = 1e-6) -> np.ndarray:
+def extract_phases(psi: np.ndarray) -> np.ndarray:
     """Read the reconstruction phases off a numerical fiducial.
 
     phases(i, j) = sqrt(d + 1) * <psi|D(i,j)|psi> must be unit modulus;
-    anything farther than the tolerance from the unit circle means the
+    anything farther than PHASE_TOLERANCE from the unit circle means the
     state is not a fiducial, and that is an error. The (0, 0) slot is
     set to 1.
     """
@@ -239,7 +239,7 @@ def extract_phases(psi: np.ndarray, tolerance: float = 1e-6) -> np.ndarray:
     phases = np.sqrt(d + 1.0) * tau * _moments(d, psi)
     moduli = np.abs(phases.flat[1:])
     worst = float(np.max(np.abs(moduli - 1.0)))
-    if worst > tolerance:
+    if worst > PHASE_TOLERANCE:
         raise ValueError(
             f"state is not a fiducial: a phase modulus misses 1 by {worst:.3g}"
         )

@@ -23,7 +23,7 @@ from . import matrices
 from .matrices import Matrix
 from .minpoly import minimal_polynomial
 from .tower import FieldElement, constant, embed
-from .weyl import displacement_dagger_sign, displacement_exact
+from .weyl import _tau_powers, displacement_dagger_sign, monomial
 
 __all__ = [
     "CheckResult",
@@ -81,19 +81,20 @@ def canonical_phase_matrix(negate_entry: tuple[int, int] | None = None) -> Matri
 
 
 def reconstruct_projector(phases: Matrix | None = None) -> Matrix:
-    """Assemble the projector from a phase table, exactly."""
+    """Assemble the projector from a phase table, exactly. D(i, j)^dagger
+    has tau^(-e) at (k, k + i), so each phase lands in four entries."""
     if phases is None:
         phases = canonical_phase_matrix()
-    inv_sqrt5 = constant("sqrt5") / 5
-    acc = matrices.identity(4)
-    for i, j in _NONTRIVIAL:
-        term = matrices.mat_scale(
-            phases[i][j] * inv_sqrt5,
-            matrices.dagger(displacement_exact(i, j)),
-        )
-        acc = matrices.mat_add(acc, term)
+    powers = _tau_powers()
+    scale = constant("sqrt5") / 20
     quarter = FieldElement.from_rational(Fraction(1, 4))
-    return matrices.mat_scale(quarter, acc)
+    acc = [[quarter if a == b else FieldElement.zero() for b in range(4)]
+           for a in range(4)]
+    for i, j in _NONTRIVIAL:
+        weight = phases[i][j] * scale
+        for k, (row, e) in enumerate(monomial(4, i, j)):
+            acc[k][row] = acc[k][row] + weight * powers[-e % 8]
+    return tuple(tuple(row) for row in acc)
 
 
 @lru_cache(maxsize=1)
@@ -104,21 +105,16 @@ def fiducial_projector() -> Matrix:
 def overlap(proj: Matrix, i: int, j: int) -> FieldElement:
     """Tr(Pi D Pi D^dagger) for the displacement at (i, j).
 
-    D is monomial, D|k> = phi_k |s(k)> with s(k) = k + i, so the trace
-    is the sum over (w, y) of Pi[s(w)][s(y)] phi_y Pi[y][w] conj(phi_w):
-    16 terms instead of two general matrix products.
+    D is monomial, D|k> = tau^(e_k) |s(k)>, so the trace is the sum over
+    (w, y) of Pi[s(w)][s(y)] tau^(e_y - e_w) Pi[y][w]: 16 terms instead
+    of two general matrix products.
     """
-    d = displacement_exact(i, j)
-    shifted = [(k + i) % 4 for k in range(4)]
-    phases = [d[shifted[k]][k] for k in range(4)]
+    powers = _tau_powers()
+    pairs = monomial(4, i, j)
     total = FieldElement.zero()
-    for w in range(4):
-        row = proj[shifted[w]]
-        inner = sum(
-            (row[shifted[y]] * phases[y] * proj[y][w] for y in range(4)),
-            FieldElement.zero(),
-        )
-        total = total + phases[w].conjugate() * inner
+    for w, (sw, ew) in enumerate(pairs):
+        for y, (sy, ey) in enumerate(pairs):
+            total = total + proj[sw][sy] * powers[(ey - ew) % 8] * proj[y][w]
     return total
 
 

@@ -8,6 +8,9 @@ Conventions: the shift acts as X|k> = |k+1 mod d>, the clock as
 Z|k> = omega^k |k>, and the displacement is D(i, j) = tau^(ij) X^i Z^j
 indexed row-major so that the orbit of a fiducial lists D(i, j) psi at
 position i*d + j.
+
+Every operator is built from one rule, `monomial`: since omega = tau^2
+and tau^(2d) = 1, D(i, j)|k> = tau^(ij + 2jk mod 2d) |k + i mod d>.
 """
 
 from __future__ import annotations
@@ -18,13 +21,13 @@ from typing import Sequence
 
 import numpy as np
 
-from . import matrices
 from .matrices import Matrix
 from .tower import FieldElement, constant
 
 __all__ = [
     "omega",
     "tau_phase",
+    "monomial",
     "clock_shift",
     "displacement",
     "displacement_dagger_sign",
@@ -48,24 +51,24 @@ def _check_dimension(d: int) -> None:
         raise ValueError("dimension must be at least 2")
 
 
+def monomial(d: int, i: int, j: int) -> list[tuple[int, int]]:
+    """For each column k of D(i, j), its nonzero row and tau exponent."""
+    return [((k + i) % d, (i * j + 2 * j * k) % (2 * d)) for k in range(d)]
+
+
 def clock_shift(d: int) -> tuple[np.ndarray, np.ndarray]:
     """The shift X and clock Z in dimension d."""
-    _check_dimension(d)
-    shift = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        shift[(k + 1) % d, k] = 1.0
-    clock = np.diag([omega(d) ** k for k in range(d)])
-    return shift, clock
+    return displacement(d, 1, 0), displacement(d, 0, 1)
 
 
 def displacement(d: int, i: int, j: int) -> np.ndarray:
     """D(i, j) = tau^(ij) X^i Z^j, indices taken mod d."""
     _check_dimension(d)
-    shift, clock = clock_shift(d)
-    phase = tau_phase(d) ** (i * j)
-    return phase * (
-        np.linalg.matrix_power(shift, i % d) @ np.linalg.matrix_power(clock, j % d)
-    )
+    tau = tau_phase(d)
+    out = np.zeros((d, d), dtype=complex)
+    for k, (row, e) in enumerate(monomial(d, i, j)):
+        out[row, k] = tau**e
+    return out
 
 
 def displacement_dagger_sign(d: int, i: int, j: int) -> int:
@@ -97,17 +100,7 @@ def orbit(d: int, fiducial: np.ndarray) -> np.ndarray:
 def clock_shift_exact() -> tuple[Matrix, Matrix]:
     """Exact X and Z in dimension 4; the clock eigenvalues are powers
     of the exact imaginary unit."""
-    one = FieldElement.one()
-    zero = FieldElement.zero()
-    ii = constant("i")
-    shift = tuple(
-        tuple(one if i == (j + 1) % 4 else zero for j in range(4))
-        for i in range(4)
-    )
-    clock = tuple(
-        tuple(ii**i if i == j else zero for j in range(4)) for i in range(4)
-    )
-    return shift, clock
+    return displacement_exact(1, 0), displacement_exact(0, 1)
 
 
 @lru_cache(maxsize=1)
@@ -121,16 +114,11 @@ def _tau_powers() -> tuple[FieldElement, ...]:
 
 
 def displacement_exact(i: int, j: int) -> Matrix:
-    """Exact D(i, j) at d = 4 with tau from the tower.
-
-    D(i, j) is monomial: D(i, j)|k> = tau^(ij) i^(jk) |k + i>, and with
-    i = tau^2 every entry is a power of tau.
-    """
+    """Exact D(i, j) at d = 4 with tau from the tower."""
     powers = _tau_powers()
-    zero = FieldElement.zero()
-    rows = [[zero] * 4 for _ in range(4)]
-    for k in range(4):
-        rows[(k + i) % 4][k] = powers[(i * j + 2 * j * k) % 8]
+    rows = [[FieldElement.zero()] * 4 for _ in range(4)]
+    for k, (row, e) in enumerate(monomial(4, i, j)):
+        rows[row][k] = powers[e]
     return tuple(tuple(row) for row in rows)
 
 
@@ -138,8 +126,12 @@ def orbit_exact(fiducial: Sequence[FieldElement]) -> list[tuple[FieldElement, ..
     """All 16 exact displaced copies of a d = 4 fiducial, row-major."""
     if len(fiducial) != 4:
         raise ValueError("exact orbits exist in dimension 4 only")
+    powers = _tau_powers()
     out = []
     for i in range(4):
         for j in range(4):
-            out.append(matrices.mat_vec(displacement_exact(i, j), fiducial))
+            image = [FieldElement.zero()] * 4
+            for k, (row, e) in enumerate(monomial(4, i, j)):
+                image[row] = powers[e] * fiducial[k]
+            out.append(tuple(image))
     return out

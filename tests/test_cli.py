@@ -8,6 +8,7 @@ import time
 import pytest
 
 from sicfield.cli import EXIT_BROKEN_PIPE, main, render_number
+from sicfield.expressions import evaluate_expression
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +127,23 @@ class TestMinpoly:
         assert code == 0
         assert out.startswith("t^8 - 18000000t^6")
 
+    def test_huge_exponent_is_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "minpoly", "u^99999999999")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "8192-bit bound" in err
+
+    def test_integers_past_the_string_digit_limit_print(self, capsys):
+        # the minimal polynomial has coefficients of more than 4300 digits
+        code, reports = run_json(capsys, "minpoly", "(u+r/3)^1500")
+        assert code == 0
+        elem = evaluate_expression("(u+r/3)^1500")
+        coords = reports[0]["details"]["element"]["coords"]
+        assert coords == [str(c) for c in elem.coords]
+
     def test_extended_precision_agrees_with_double(self, capsys):
         _, fast = run_json(capsys, "minpoly", "tau * u2")
         _, slow = run_json(capsys, "minpoly", "tau * u2", "--precision", "extended")
@@ -207,6 +225,19 @@ class TestSearch:
     def test_dim_is_required(self, capsys):
         code, _, _ = run_cli(capsys, "search")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("--dim", "7", "--tolerance", "inf"),
+        ("--dim", "7", "--tolerance", "nan"),
+        ("--dim", "7", "--tolerance", "0"),
+        ("--dim", "7", "--tolerance=-1e-10"),
+        ("--dim", "3", "--max-iterations", "-1"),
+    ])
+    def test_values_that_would_make_it_lie_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "search", *argv, "--restarts", "1")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
 
     def test_hopeless_budget_exits_1(self, capsys):
         code, reports = run_json(

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from sicfield.expressions import (
     MAX_NESTING,
+    MAX_VALUE_BITS,
     BinOp,
     ExpressionError,
     Literal,
@@ -154,6 +155,38 @@ CORPUS = [
     "2 / (3^2)",
     "tau^8 - 1",
 ]
+
+
+class TestValueBound:
+    def test_power_estimate_is_checked_before_the_power(self):
+        # bits(u) = 1, so u^n is estimated at n bits
+        assert not evaluate_expression(f"u^{MAX_VALUE_BITS}").is_zero()
+        with pytest.raises(ValueError, match=f"{MAX_VALUE_BITS}-bit bound"):
+            evaluate_expression(f"u^{MAX_VALUE_BITS + 1}")
+        with pytest.raises(ValueError, match=f"{MAX_VALUE_BITS}-bit bound"):
+            evaluate_expression("u^99999999999")
+
+    def test_power_result_is_checked_after_the_power(self):
+        # estimated at 8192 bits, (1+u)^8192 needs 11733
+        with pytest.raises(ValueError, match="11733 bits"):
+            evaluate_expression(f"(1+u)^{MAX_VALUE_BITS}")
+
+    def test_negative_power_is_estimated_from_the_inverse(self):
+        # (u + r/3) has 2-bit coordinates, its inverse 8-bit ones
+        assert not evaluate_expression("(u+r/3)^1500").is_zero()
+        with pytest.raises(ValueError, match="12000 bits"):
+            evaluate_expression("(u+r/3)^-1500")
+
+    def test_literals_are_checked(self):
+        # 10^2466 < 2^8192 < 10^2467
+        assert evaluate_expression("1/" + "9" * 2466).den == 10**2466 - 1
+        with pytest.raises(ValueError, match=f"{MAX_VALUE_BITS}-bit bound"):
+            evaluate_expression("1/" + "9" * 2467)
+
+    def test_every_operation_result_is_checked(self):
+        assert not evaluate_expression("u^4000 * u^4000").is_zero()
+        with pytest.raises(ValueError, match=f"{MAX_VALUE_BITS}-bit bound"):
+            evaluate_expression("u^4000 * u^4000 * u^4000")
 
 
 class TestFormatting:

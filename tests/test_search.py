@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -142,9 +143,25 @@ class TestConfig:
         with pytest.raises(ValueError):
             SearchConfig(dimension=1)
         with pytest.raises(ValueError):
-            SearchConfig(dimension=3, shrink_factor=1.5)
-        with pytest.raises(ValueError):
             SearchConfig(dimension=3, restarts=0)
+
+    @pytest.mark.parametrize("tolerance", (
+        float("inf"), float("-inf"), float("nan"), 0.0, -1e-10,
+    ))
+    def test_tolerance_must_be_positive_and_finite(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            SearchConfig(dimension=3, tolerance=tolerance)
+
+    def test_max_iterations_must_not_be_negative(self):
+        with pytest.raises(ValueError, match="iterations"):
+            SearchConfig(dimension=3, max_iterations=-1)
+        assert SearchConfig(dimension=3, max_iterations=0).max_iterations == 0
+
+    def test_six_fields(self):
+        assert [f.name for f in dataclasses.fields(SearchConfig)] == [
+            "dimension", "restarts", "max_iterations", "tolerance",
+            "rng_seed", "stop_on_converged",
+        ]
 
 
 class TestSearch:

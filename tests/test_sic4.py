@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -17,6 +18,55 @@ from sicfield.sic4 import (
     verify_sic_projector,
 )
 from sicfield.tower import FieldElement, constant, embed
+
+NONTRIVIAL = [(i, j) for i in range(4) for j in range(4) if (i, j) != (0, 0)]
+
+
+@lru_cache(maxsize=None)
+def dense_displacement(i, j):
+    """Exact tau^(ij) X^i Z^j as a product of dense matrices."""
+    one, zero, tau = FieldElement.one(), FieldElement.zero(), constant("tau")
+    shift = tuple(tuple(one if a == (b + 1) % 4 else zero for b in range(4))
+                  for a in range(4))
+    clock = tuple(tuple(constant("i") ** a if a == b else zero for b in range(4))
+                  for a in range(4))
+    out = matrices.mat_scale(tau ** (i * j), matrices.identity(4))
+    for _ in range(i):
+        out = matrices.mat_mul(out, shift)
+    for _ in range(j):
+        out = matrices.mat_mul(out, clock)
+    return out
+
+
+def dense_reconstruction(phases):
+    """(1/4)(I + (1/sqrt5) sum phases(i, j) D(i, j)^dagger), term by term."""
+    inv_sqrt5 = constant("sqrt5") / 5
+    acc = matrices.identity(4)
+    for i, j in NONTRIVIAL:
+        term = matrices.dagger(dense_displacement(i, j))
+        acc = matrices.mat_add(acc, matrices.mat_scale(phases[i][j] * inv_sqrt5, term))
+    return matrices.mat_scale(FieldElement.from_rational(Fraction(1, 4)), acc)
+
+
+class TestAgainstDenseReference:
+    @pytest.mark.parametrize("negate", [None] + NONTRIVIAL)
+    def test_reconstruction_equals_the_dense_sum(self, negate):
+        phases = canonical_phase_matrix(negate_entry=negate)
+        assert reconstruct_projector(phases) == dense_reconstruction(phases)
+
+    def test_overlap_equals_the_dense_trace(self):
+        # a corrupted projector, so that the overlaps are not all 1/5
+        proj = reconstruct_projector(canonical_phase_matrix(negate_entry=(2, 1)))
+        values = set()
+        for i, j in NONTRIVIAL:
+            d = dense_displacement(i, j)
+            expected = matrices.trace(matrices.mat_mul(
+                matrices.mat_mul(proj, d),
+                matrices.mat_mul(proj, matrices.dagger(d)),
+            ))
+            assert overlap(proj, i, j) == expected
+            values.add(expected)
+        assert len(values) > 1
 
 
 class TestPhaseMatrix:

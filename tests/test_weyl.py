@@ -20,6 +20,82 @@ from sicfield.weyl import (
 DIMS = (2, 3, 4, 5, 7)
 
 
+def reference_displacement(d, i, j):
+    """tau^(ij) X^i Z^j from explicit X and Z, without the monomial rule."""
+    shift = np.zeros((d, d), dtype=complex)
+    for k in range(d):
+        shift[(k + 1) % d, k] = 1.0
+    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    tau = -np.exp(1j * np.pi / d)
+    return tau ** (i * j) * (
+        np.linalg.matrix_power(shift, i % d) @ np.linalg.matrix_power(clock, j % d)
+    )
+
+
+def reference_displacement_exact(i, j):
+    """Exact tau^(ij) X^i Z^j at d = 4, by matrix products."""
+    one, zero, tau = FieldElement.one(), FieldElement.zero(), constant("tau")
+    shift = tuple(tuple(one if a == (b + 1) % 4 else zero for b in range(4))
+                  for a in range(4))
+    clock = tuple(tuple(tau ** (2 * a) if a == b else zero for b in range(4))
+                  for a in range(4))
+    out = matrices.mat_scale(tau ** (i * j % 8), matrices.identity(4))
+    for _ in range(i % 4):
+        out = matrices.mat_mul(out, shift)
+    for _ in range(j % 4):
+        out = matrices.mat_mul(out, clock)
+    return out
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_numeric_matches_every_operator(self, d):
+        for i in range(d):
+            for j in range(d):
+                assert np.allclose(displacement(d, i, j),
+                                   reference_displacement(d, i, j),
+                                   rtol=0, atol=1e-12), (i, j)
+
+    @pytest.mark.parametrize("d", (4, 5))
+    def test_indices_outside_the_range(self, d):
+        for i in (-d - 1, -1, d, 2 * d + 1):
+            for j in (-2, -1, d + 1, 2 * d):
+                assert np.allclose(displacement(d, i, j),
+                                   reference_displacement(d, i, j),
+                                   rtol=0, atol=1e-12), (i, j)
+
+    def test_exact_matches_numeric_reference(self):
+        for i in range(4):
+            for j in range(4):
+                exact = displacement_exact(i, j)
+                ref = reference_displacement(4, i, j)
+                for a in range(4):
+                    for b in range(4):
+                        assert abs(embed(exact[a][b]) - ref[a, b]) < 1e-12
+
+    def test_exact_matches_exact_reference(self):
+        for i in range(4):
+            for j in range(4):
+                assert displacement_exact(i, j) == reference_displacement_exact(i, j)
+
+    def test_exact_orbit_matches_reference(self):
+        psi = (constant("u"), constant("r"), FieldElement.from_rational(3),
+               constant("tau") / 2)
+        vectors = orbit_exact(psi)
+        for i in range(4):
+            for j in range(4):
+                expected = matrices.mat_vec(reference_displacement_exact(i, j), psi)
+                assert vectors[i * 4 + j] == expected
+
+    def test_numeric_orbit_matches_reference(self):
+        psi = np.array([0.3, 1j, -0.5 + 0.2j, 0.1, 2.0])
+        vectors = orbit(5, psi)
+        for i in range(5):
+            for j in range(5):
+                assert np.allclose(vectors[i * 5 + j],
+                                   reference_displacement(5, i, j) @ psi)
+
+
 class TestNumericOperators:
     def test_shift_matrix_d2(self):
         shift, _ = clock_shift(2)
