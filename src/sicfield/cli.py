@@ -90,13 +90,12 @@ def serialize_element(elem: FieldElement, precision: str) -> dict:
     return {"coords": [str(c) for c in elem.coords], "approx": approx}
 
 
-def make_report(category: str, check: str, passed: bool,
-                details: dict | None = None) -> dict:
+def make_report(check: str, passed: bool, details: dict | None = None) -> dict:
+    """A report without its category, which _run adds last."""
     return {
         "check": check,
         "status": "pass" if passed else "fail",
         "details": details or {},
-        "category": category,
     }
 
 
@@ -106,17 +105,13 @@ def make_report(category: str, check: str, passed: bool,
 def cmd_verify_d4(args: argparse.Namespace) -> list[dict]:
     phases = canonical_phase_matrix(negate_entry=args.corrupt)
     reports = [
-        make_report(
-            "verify-d4", "hermiticity_symmetry", hermiticity_symmetry_holds(phases),
-        ),
-        make_report(
-            "verify-d4", "phases_in_inner_field", phases_in_inner_field(phases),
-        ),
+        make_report("hermiticity_symmetry", hermiticity_symmetry_holds(phases)),
+        make_report("phases_in_inner_field", phases_in_inner_field(phases)),
     ]
     projector = reconstruct_projector(phases)
     for check in verify_sic_projector(projector):
         details = {"note": check.detail} if check.detail else {}
-        reports.append(make_report("verify-d4", check.name, check.passed, details))
+        reports.append(make_report(check.name, check.passed, details))
     return reports
 
 
@@ -133,7 +128,7 @@ def cmd_minpoly(args: argparse.Namespace) -> list[dict]:
     }
     if not args.json:
         print(result.primitive.format())
-    return [make_report("minpoly", "minimal_polynomial", True, details)]
+    return [make_report("minimal_polynomial", True, details)]
 
 
 def cmd_galois(args: argparse.Namespace) -> list[dict]:
@@ -153,24 +148,23 @@ def cmd_galois(args: argparse.Namespace) -> list[dict]:
         for name, row in zip(generators, rows)
     }
     reports = [
-        make_report("galois", "group_order", len(group) == 16,
-                    {"order": len(group)}),
-        make_report("galois", "generators_are_involutions",
+        make_report("group_order", len(group) == 16, {"order": len(group)}),
+        make_report("generators_are_involutions",
                     all((g * g).is_identity() for g in generators.values())),
-        make_report("galois", "order_census", census == {1: 1, 2: 11, 4: 4},
+        make_report("order_census", census == {1: 1, 2: 11, 4: 4},
                     {"census": {str(k): v for k, v in sorted(census.items())}}),
-        make_report("galois", "abelian_inner_subgroup",
+        make_report("abelian_inner_subgroup",
                     len(inner) == 8 and is_abelian(inner),
                     {"order": len(inner)}),
-        make_report("galois", "structure_certificate", cert.certified, {
+        make_report("structure_certificate", cert.certified, {
             "isomorphism_type": cert.isomorphism_type,
             "central_involution": cert.central_involution,
             "dihedral_generators": cert.dihedral_generators,
         }),
-        make_report("galois", "inner_subgroup_fixes_sqrt5",
+        make_report("inner_subgroup_fixes_sqrt5",
                     fixed_subfield_check(inner, constant("sqrt5"))
                     and not fixed_subfield_check(group, constant("sqrt5"))),
-        make_report("galois", "generator_actions", True, {"actions": actions}),
+        make_report("generator_actions", True, {"actions": actions}),
     ]
     return reports
 
@@ -180,8 +174,7 @@ def cmd_units(args: argparse.Namespace) -> list[dict]:
     for audit in phase_unit_audit():
         i, j = audit.index
         reports.append(make_report(
-            "units", f"phase_{i}{j}",
-            audit.unit_modulus and audit.algebraic_unit,
+            f"phase_{i}{j}", audit.unit_modulus and audit.algebraic_unit,
             {
                 "unit_modulus": audit.unit_modulus,
                 "algebraic_unit": audit.algebraic_unit,
@@ -192,7 +185,7 @@ def cmd_units(args: argparse.Namespace) -> list[dict]:
         elem = constant(name)
         result = minimal_polynomial(elem)
         reports.append(make_report(
-            "units", f"unit_{name}", result.is_unit,
+            f"unit_{name}", result.is_unit,
             {
                 "minimal_polynomial": result.primitive.format(),
                 "degree": result.degree,
@@ -232,7 +225,7 @@ def cmd_search(args: argparse.Namespace) -> list[dict]:
               f"residual {render_number(result.residual)}, "
               f"restart {result.restart_index}, "
               f"iterations {result.iterations}")
-    return [make_report("search", f"search_d{args.dim}", result.converged, details)]
+    return [make_report(f"search_d{args.dim}", result.converged, details)]
 
 
 def cmd_discriminant(args: argparse.Namespace) -> list[dict]:
@@ -242,7 +235,7 @@ def cmd_discriminant(args: argparse.Namespace) -> list[dict]:
     if not args.json:
         print(f"(d - 3)(d + 1) = {result.value}, "
               f"squarefree part {result.squarefree_part}")
-    return [make_report("discriminant", f"discriminant_d{args.dim}", True, {
+    return [make_report(f"discriminant_d{args.dim}", True, {
         "dimension": result.dimension,
         "value": result.value,
         "squarefree_part": result.squarefree_part,
@@ -391,6 +384,8 @@ def _run(args: argparse.Namespace) -> int:
         # ExpressionError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 2
+    for report in reports:
+        report["category"] = args.command
 
     if args.json:
         print(json.dumps(reports, indent=2))

@@ -49,8 +49,8 @@ __all__ = [
 class Automorphism:
     """A field automorphism, held as its integer matrix on the basis
     u^k r^e. It is built from the images of u and r, which must satisfy
-    the tower relations; products and inverses are matrix products and
-    inverses, so they need no check."""
+    the tower relations; products are matrix products and inverses are
+    powers, so they need no check."""
 
     __slots__ = ("matrix",)
 
@@ -109,7 +109,8 @@ class Automorphism:
         return result
 
     def inverse(self) -> Automorphism:
-        return Automorphism._from_matrix(self.matrix.inverse())
+        """The group is finite, so the inverse is the power order - 1."""
+        return self ** (element_order(self) - 1)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Automorphism):
@@ -230,13 +231,6 @@ def is_normal(group: Sequence[Automorphism],
     )
 
 
-def _index_order(table: list[list[int]], identity: int, k: int) -> int:
-    power, order = k, 1
-    while power != identity:
-        power, order = table[power][k], order + 1
-    return order
-
-
 def _closure_indices(table: list[list[int]], identity: int,
                      gens: Sequence[int]) -> set[int]:
     elements = {identity, *gens}
@@ -277,7 +271,7 @@ def certify_structure(group: Sequence[Automorphism]) -> StructureCertificate:
     order = len(group)
     table = multiplication_table(group)
     identity = next(k for k, g in enumerate(group) if g.is_identity())
-    orders = [_index_order(table, identity, k) for k in range(order)]
+    orders = [element_order(g) for g in group]
     census = _census(orders)
     abelian = _commute(table, range(order), range(order))
     failed = StructureCertificate(order, census, abelian, None, None, None)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .linalg import first_dependence
@@ -49,9 +50,9 @@ def minimal_polynomial(a: FieldElement) -> MinimalPolynomial:
     dependence among the powers 1, a, a^2, ...
 
     Power k is N_k / D_k with integer numerators N_k, so an integer
-    dependence sum c_k N_k = 0 gives the polynomial sum c_k D_k t^k. The
-    tower has degree 16, so a dependence shows by the 17th power and its
-    degree divides 16.
+    dependence sum c_k N_k = 0 gives sum c_k D_k t^k, the primitive form
+    up to content and sign. The tower has degree 16, so a dependence
+    shows by the 17th power and its degree divides 16.
     """
     powers = []
 
@@ -66,8 +67,10 @@ def minimal_polynomial(a: FieldElement) -> MinimalPolynomial:
     if combination is None:
         raise AssertionError("no dependence found within the tower degree")
     coeffs = [c * p.den for c, p in zip(combination, powers)]
-    monic = RatPoly(coeffs) / coeffs[-1]
-    return MinimalPolynomial(monic, monic.primitive(), len(coeffs) - 1)
+    content = gcd(*coeffs) if coeffs[-1] > 0 else -gcd(*coeffs)
+    primitive = RatPoly(c // content for c in coeffs)
+    return MinimalPolynomial(primitive / primitive.coeffs[-1], primitive,
+                             len(coeffs) - 1)
 
 
 def is_algebraic_integer(a: FieldElement) -> bool:
@@ -92,7 +95,6 @@ def palindrome_reduce(p: RatPoly) -> RatPoly:
     if not p.is_palindromic():
         raise ValueError("polynomial is not palindromic")
     n = p.degree // 2
-    shifted = RatPoly((1, 0, 1))
     remainder = p
     out = [Fraction(0)] * (n + 1)
     for k in range(n, -1, -1):
@@ -100,7 +102,8 @@ def palindrome_reduce(p: RatPoly) -> RatPoly:
         if c == 0:
             continue
         out[k] = c
-        remainder = remainder - c * RatPoly.monomial(n - k) * shifted**k
+        lift = palindromic_lift(RatPoly.monomial(k, c))
+        remainder = remainder - RatPoly.monomial(n - k) * lift
     if not remainder.is_zero():
         raise ValueError("polynomial is not a palindromic lift")
     return RatPoly(out)

@@ -191,10 +191,6 @@ class RatPoly:
     def has_integer_coefficients(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
 
-    def reversed(self) -> RatPoly:
-        """Coefficients in reverse order, i.e. t^deg * p(1/t)."""
-        return RatPoly(tuple(reversed(self.coeffs)))
-
     def is_palindromic(self) -> bool:
         return bool(self.coeffs) and self.coeffs == tuple(reversed(self.coeffs))
 

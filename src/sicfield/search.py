@@ -47,7 +47,6 @@ class SearchConfig:
     max_iterations: int = 20_000
     tolerance: float = 1e-10
     rng_seed: int = 0
-    stop_on_converged: bool = True
 
     def __post_init__(self) -> None:
         if self.dimension < 2:
@@ -58,6 +57,8 @@ class SearchConfig:
             raise ValueError("max iterations must not be negative")
         if not 0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be a positive finite number")
+        if self.rng_seed < 0:
+            raise ValueError(f"seed must not be negative, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)
@@ -193,7 +194,7 @@ def _single_run(config: SearchConfig, psi0: np.ndarray,
 
 def search(config: SearchConfig,
            initial: np.ndarray | None = None) -> SearchResult:
-    """Run the restarted search; the best restart wins.
+    """Run restarts until one converges or all have run; the best wins.
 
     A warm start vector, when given, is used by restart 0; the
     remaining restarts draw their starting states from per-restart
@@ -209,7 +210,7 @@ def search(config: SearchConfig,
             psi0 = _normalize(rng.normal(size=d) + 1j * rng.normal(size=d))
         result = _single_run(config, psi0, k)
         results.append(result)
-        if result.converged and config.stop_on_converged:
+        if result.converged:
             break
     best = min(results, key=lambda r: r.residual)
     return SearchResult(

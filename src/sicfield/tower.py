@@ -162,13 +162,6 @@ class FieldElement:
         return _make((q.numerator,) + (0,) * 15, q.denominator)
 
     @classmethod
-    def from_u_poly(cls, poly: RatPoly | Sequence[Scalar]) -> FieldElement:
-        """The polynomial evaluated at u."""
-        if not isinstance(poly, RatPoly):
-            poly = RatPoly(poly)
-        return _coerce(poly(constant("u")))
-
-    @classmethod
     def zero(cls) -> FieldElement:
         return _ZERO
 
@@ -432,20 +425,6 @@ class LinearMap:
             columns.append(self._numerators(dense))
         return LinearMap(columns, self.den * other.den)
 
-    def inverse(self) -> LinearMap:
-        """The inverse map, by fraction-free elimination of [M | den I]."""
-        rows = [[0] * 32 for _ in range(16)]
-        for m, col in enumerate(self.cols):
-            for k, c in col:
-                rows[k][m] = c
-        for k in range(16):
-            rows[k][16 + k] = self.den
-        reduced, pivots, divisor = bareiss(rows)
-        if pivots[:16] != list(range(16)):
-            raise ZeroDivisionError("the map is singular")
-        return LinearMap([[reduced[k][16 + m] for k in range(16)] for m in range(16)],
-                         divisor)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinearMap):
             return NotImplemented
@@ -554,15 +533,16 @@ def constant(name: str) -> FieldElement:
 # -- the complex embedding ---------------------------------------------------
 
 
-def _embed_generators_double() -> tuple[complex, complex]:
-    s5 = math.sqrt(5.0)
-    s2 = math.sqrt(2.0)
-    u = complex((s5 - 1) / (2 * s2), math.sqrt(s5 + 1) / 2)
-    r = complex(-(s5 + 1) / (2 * s2) - math.sqrt(s5 - 1) / 2, 0.0)
+def _generators(sqrt, make_complex):
+    """The embedded u and r, in the arithmetic of sqrt and make_complex."""
+    s5 = sqrt(5)
+    s2 = sqrt(2)
+    u = make_complex((s5 - 1) / (2 * s2), sqrt(s5 + 1) / 2)
+    r = make_complex(-(s5 + 1) / (2 * s2) - sqrt(s5 - 1) / 2, 0)
     return u, r
 
 
-_U_COMPLEX, _R_COMPLEX = _embed_generators_double()
+_U_COMPLEX, _R_COMPLEX = _generators(math.sqrt, complex)
 
 #: a value is returned once its error bound is at most this fraction of
 #: its modulus
@@ -584,14 +564,6 @@ def _horner(coeffs: Sequence, z):
     for c in reversed(coeffs[:-1]):
         acc = acc * z + c
     return acc
-
-
-def _mp_generators():
-    s5 = mpmath.sqrt(5)
-    s2 = mpmath.sqrt(2)
-    u = mpmath.mpc((s5 - 1) / (2 * s2), mpmath.sqrt(s5 + 1) / 2)
-    r = mpmath.mpc(-(s5 + 1) / (2 * s2) - mpmath.sqrt(s5 - 1) / 2, 0)
-    return u, r
 
 
 def _certified(value, bound, relative_error) -> bool:
@@ -627,7 +599,7 @@ def _embed_mp(elem: FieldElement, relative_bits: int):
     precision = 64 + relative_bits + max(top, 0)
     while True:
         with mpmath.workprec(precision):
-            u, r = _mp_generators()
+            u, r = _generators(mpmath.sqrt, mpmath.mpc)
             a = [mpmath.mpf(n) / den for n in nums[:8]]
             b = [mpmath.mpf(n) / den for n in nums[8:]]
             z = _horner(a, u) + _horner(b, u) * r

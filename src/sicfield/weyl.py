@@ -83,15 +83,24 @@ def displacement_dagger_sign(d: int, i: int, j: int) -> int:
     return (-1) ** (i + j)
 
 
+def _displaced(d: int, fiducial: Sequence, powers: Sequence, zero) -> list[tuple]:
+    """D(i, j) psi for every (i, j), row-major, with tau^e = powers[e]."""
+    out = []
+    for i in range(d):
+        for j in range(d):
+            image = [zero] * d
+            for k, (row, e) in enumerate(monomial(d, i, j)):
+                image[row] = powers[e] * fiducial[k]
+            out.append(tuple(image))
+    return out
+
+
 def orbit(d: int, fiducial: np.ndarray) -> np.ndarray:
     """All d^2 displaced copies of a fiducial vector, row-major in (i, j)."""
     _check_dimension(d)
     psi = np.asarray(fiducial, dtype=complex).reshape(d)
-    out = np.empty((d * d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            out[i * d + j] = displacement(d, i, j) @ psi
-    return out
+    powers = [tau_phase(d) ** e for e in range(2 * d)]
+    return np.array(_displaced(d, psi.tolist(), powers, 0j), dtype=complex)
 
 
 # -- exact dimension 4 -------------------------------------------------------
@@ -126,12 +135,4 @@ def orbit_exact(fiducial: Sequence[FieldElement]) -> list[tuple[FieldElement, ..
     """All 16 exact displaced copies of a d = 4 fiducial, row-major."""
     if len(fiducial) != 4:
         raise ValueError("exact orbits exist in dimension 4 only")
-    powers = _tau_powers()
-    out = []
-    for i in range(4):
-        for j in range(4):
-            image = [FieldElement.zero()] * 4
-            for k, (row, e) in enumerate(monomial(4, i, j)):
-                image[row] = powers[e] * fiducial[k]
-            out.append(tuple(image))
-    return out
+    return _displaced(4, fiducial, _tau_powers(), FieldElement.zero())

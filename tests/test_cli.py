@@ -239,6 +239,19 @@ class TestSearch:
         assert out == ""
         assert err.count("\n") == 1
 
+    def test_negative_seed_exits_2_naming_the_seed(self, capsys):
+        code, out, err = run_cli(capsys, "search", "--dim", "3", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "seed" in err
+
+    def test_huge_seed_is_accepted(self, capsys):
+        code, reports = run_json(capsys, "search", "--dim", "3",
+                                 "--seed", "99999999999999999999999999")
+        assert code == 0
+        assert reports[0]["details"]["converged"] is True
+
     def test_hopeless_budget_exits_1(self, capsys):
         code, reports = run_json(
             capsys, "search", "--dim", "5",
@@ -334,6 +347,15 @@ class TestConfig:
         code, reports = run_json(capsys, "discriminant", "--config", str(config))
         assert code == 0
         assert reports[0]["details"]["value"] == 12
+
+    def test_negative_seed_in_config_exits_2(self, capsys, tmp_path):
+        config = tmp_path / "options.json"
+        config.write_text(json.dumps({"seed": -1}))
+        code, out, err = run_cli(capsys, "search", "--dim", "3",
+                                 "--config", str(config))
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "seed" in err
 
     def test_missing_file_rejected(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "discriminant", "--dim", "4",

@@ -4,7 +4,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import small_fractions
+from conftest import field_elements, small_fractions
 from sicfield.minpoly import (
     is_algebraic_integer,
     is_unit,
@@ -76,6 +76,14 @@ class TestMinimalPolynomial:
     def test_degree_divides_sixteen(self):
         for name in ("u", "r", "x", "i", "tau", "sqrt2", "sqrt5"):
             assert 16 % minimal_polynomial(constant(name)).degree == 0
+
+    @given(field_elements())
+    @settings(max_examples=25, deadline=None)
+    def test_primitive_form_is_the_normalized_monic_form(self, a):
+        # RatPoly.primitive is the reference for the content and sign
+        mp = minimal_polynomial(a)
+        assert mp.primitive == mp.monic.primitive()
+        assert mp.monic == mp.primitive / mp.primitive.coefficient(mp.degree)
 
     @given(small_fractions(max_num=5, max_den=4))
     @settings(max_examples=20, deadline=None)

@@ -139,7 +139,7 @@ class TestPalindromicLift:
     def test_lift_is_palindromic_up_to_reversal(self, p):
         lifted = palindromic_lift(p)
         assert lifted.degree == 2 * p.degree
-        assert lifted.reversed() == lifted
+        assert lifted.is_palindromic()
 
     def test_root_transport(self):
         # if z is a root of the lift, z + 1/z is a root of the base

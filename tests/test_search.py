@@ -157,10 +157,14 @@ class TestConfig:
             SearchConfig(dimension=3, max_iterations=-1)
         assert SearchConfig(dimension=3, max_iterations=0).max_iterations == 0
 
-    def test_six_fields(self):
+    def test_seed_must_not_be_negative(self):
+        with pytest.raises(ValueError, match="seed"):
+            SearchConfig(dimension=3, rng_seed=-1)
+        assert SearchConfig(dimension=3, rng_seed=10**26).rng_seed == 10**26
+
+    def test_five_fields(self):
         assert [f.name for f in dataclasses.fields(SearchConfig)] == [
-            "dimension", "restarts", "max_iterations", "tolerance",
-            "rng_seed", "stop_on_converged",
+            "dimension", "restarts", "max_iterations", "tolerance", "rng_seed",
         ]
 
 
@@ -172,9 +176,12 @@ class TestSearch:
         assert abs(np.linalg.norm(result.fiducial) - 1) < 1e-12
 
     def test_reports_best_restart(self):
+        # a budget no restart can meet, so every restart runs
         result = search(SearchConfig(
-            dimension=2, restarts=3, rng_seed=9, stop_on_converged=False,
+            dimension=2, restarts=3, rng_seed=9, max_iterations=10,
+            tolerance=1e-30,
         ))
+        assert not any(r.converged for r in result.restarts)
         assert len(result.restarts) == 3
         best = min(result.restarts, key=lambda r: r.residual)
         assert result.restart_index == best.restart_index
@@ -193,11 +200,11 @@ class TestSearch:
         # restart k is reproducible on its own: running with one restart
         # and seed list [seed, 0] has nothing to do with restart count
         one = search(SearchConfig(dimension=2, restarts=1, rng_seed=42,
-                                  stop_on_converged=False, max_iterations=50,
-                                  tolerance=1e-30))
+                                  max_iterations=10, tolerance=1e-30))
         many = search(SearchConfig(dimension=2, restarts=3, rng_seed=42,
-                                   stop_on_converged=False, max_iterations=50,
-                                   tolerance=1e-30))
+                                   max_iterations=10, tolerance=1e-30))
+        assert not any(r.converged for r in one.restarts + many.restarts)
+        assert len(many.restarts) == 3
         assert np.array_equal(one.restarts[0].fiducial, many.restarts[0].fiducial)
 
     def test_warm_start_is_instant(self):

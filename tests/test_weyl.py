@@ -87,13 +87,17 @@ class TestAgainstReference:
                 expected = matrices.mat_vec(reference_displacement_exact(i, j), psi)
                 assert vectors[i * 4 + j] == expected
 
-    def test_numeric_orbit_matches_reference(self):
-        psi = np.array([0.3, 1j, -0.5 + 0.2j, 0.1, 2.0])
-        vectors = orbit(5, psi)
-        for i in range(5):
-            for j in range(5):
-                assert np.allclose(vectors[i * 5 + j],
-                                   reference_displacement(5, i, j) @ psi)
+    # the reference's matrix powers drift from the exact tau^e by up to
+    # 6e-15 at these sizes, and psi has entries up to 2
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_numeric_orbit_matches_reference(self, d):
+        psi = np.array([0.3, 1j, -0.5 + 0.2j, 0.1, 2.0, -0.7j, 0.4, 1.5, -1.1])[:d]
+        vectors = orbit(d, psi)
+        for i in range(d):
+            for j in range(d):
+                assert np.allclose(vectors[i * d + j],
+                                   reference_displacement(d, i, j) @ psi,
+                                   rtol=0, atol=1e-13), (i, j)
 
 
 class TestNumericOperators:
