@@ -311,25 +311,25 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 def _config_value(parser: argparse.ArgumentParser, action: argparse.Action,
                   key: str, value: Any) -> Any:
-    """A config value checked as strictly as its flag on the command line:
-    a string is read by the option's own type, a switch takes only true or
-    false, an integer option only an integer, a float option any number."""
+    """A config value read as its flag is read on the command line: a
+    switch takes only true or false, an option with no type only a string,
+    and any other option reads the value's JSON text (a string as it
+    stands) with its own type; then the option's choices apply."""
     if isinstance(action, argparse._StoreTrueAction):
         valid = isinstance(value, bool)
-    elif isinstance(value, str):
+    elif action.type is None:
+        valid = isinstance(value, str)
+    else:
         try:
-            value = action.type(value) if action.type else value
+            value = action.type(value if isinstance(value, str) else json.dumps(value))
             valid = True
         except (argparse.ArgumentTypeError, TypeError, ValueError):
             valid = False
-    else:
-        kinds = {int: int, float: (int, float)}.get(action.type, ())
-        valid = isinstance(value, kinds) and not isinstance(value, bool)
     if valid and action.choices is not None:
         valid = value in action.choices
     if not valid:
         parser.error(f"config key {key!r}: invalid value {value!r}")
-    return float(value) if action.type is float else value
+    return value
 
 
 def _apply_config(parser: argparse.ArgumentParser,

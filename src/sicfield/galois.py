@@ -19,13 +19,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 from .tower import (
     FieldElement,
     LinearMap,
     constant,
-    defining_relations_hold,
     substitution_map,
 )
 
@@ -57,8 +56,6 @@ class Automorphism:
     matrix: LinearMap
 
     def __init__(self, image_u: FieldElement, image_r: FieldElement) -> None:
-        if not defining_relations_hold(image_u, image_r):
-            raise ValueError("images do not satisfy the tower relations")
         object.__setattr__(self, "matrix", substitution_map(image_u, image_r))
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -96,21 +93,15 @@ class Automorphism:
         return Automorphism._from_matrix(self.matrix @ other.matrix)
 
     def __pow__(self, n: int) -> Automorphism:
-        if n < 0:
-            return self.inverse() ** (-n)
+        """The group is finite, so n counts modulo the order of self; a
+        negative n is a power of the inverse."""
         result = Automorphism.identity()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
+        for _ in range(n % element_order(self)):
+            result = result * self
         return result
 
     def inverse(self) -> Automorphism:
-        """The group is finite, so the inverse is the power order - 1."""
-        return self ** (element_order(self) - 1)
+        return self ** -1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Automorphism):
@@ -145,26 +136,25 @@ def generate_group(generators: Sequence[Automorphism],
     Aborts once the closure exceeds max_order elements, which signals
     that the generators do not span a finite group of that size.
     """
-    identity = Automorphism.identity()
-    elements = {identity: identity}
-    frontier = [identity]
+    elements = [Automorphism.identity()]
+    seen = set(elements)
     for g in generators:
-        if g not in elements:
-            elements[g] = g
-            frontier.append(g)
-    while frontier:
-        current = frontier.pop(0)
+        if g not in seen:
+            seen.add(g)
+            elements.append(g)
+    # the list is the BFS queue: it grows while it is walked
+    for current in elements:
         for g in generators:
             product = g * current
-            if product not in elements:
-                elements[product] = product
-                frontier.append(product)
+            if product not in seen:
+                seen.add(product)
+                elements.append(product)
                 if len(elements) > max_order:
                     raise RuntimeError(
                         "group closure exceeded the safety bound; "
                         "a generator is not a field automorphism"
                     )
-    return list(elements.values())
+    return elements
 
 
 def multiplication_table(group: Sequence[Automorphism]) -> list[list[int]]:
@@ -198,17 +188,13 @@ def element_order(g: Automorphism) -> int:
     raise ValueError("element order exceeds the field degree")
 
 
-def _census(orders: Iterable[int]) -> dict[int, int]:
-    return dict(Counter(orders))
-
-
 def _commute(table: list[list[int]], xs: Collection[int], ys: Collection[int]) -> bool:
     """Whether every index in xs commutes with every index in ys."""
     return all(table[i][j] == table[j][i] for i in xs for j in ys)
 
 
 def order_census(group: Sequence[Automorphism]) -> dict[int, int]:
-    return _census(element_order(g) for g in group)
+    return dict(Counter(element_order(g) for g in group))
 
 
 def is_abelian(group: Sequence[Automorphism]) -> bool:
@@ -272,7 +258,7 @@ def certify_structure(group: Sequence[Automorphism]) -> StructureCertificate:
     table = multiplication_table(group)
     identity = next(k for k, g in enumerate(group) if g.is_identity())
     orders = [element_order(g) for g in group]
-    census = _census(orders)
+    census = dict(Counter(orders))
     abelian = _commute(table, range(order), range(order))
     failed = StructureCertificate(order, census, abelian, None, None, None)
     if order != 16 or abelian or census != {1: 1, 2: 11, 4: 4}:

@@ -38,6 +38,9 @@ INITIAL_STEP = 1.0
 SHRINK_FACTOR = 0.5
 #: how far extract_phases lets a phase modulus miss 1
 PHASE_TOLERANCE = 1e-6
+#: largest dimension a search accepts: the d x d tables and products a
+#: restart holds are 16 MB each here, about 0.1 GB in all, and grow as d^2
+MAX_SEARCH_DIMENSION = 1024
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,9 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.dimension < 2:
             raise ValueError("dimension must be at least 2")
+        if self.dimension > MAX_SEARCH_DIMENSION:
+            raise ValueError(f"dimension must be at most {MAX_SEARCH_DIMENSION}, "
+                             f"got {self.dimension}")
         if self.restarts < 1:
             raise ValueError("at least one restart is required")
         if self.max_iterations < 0:

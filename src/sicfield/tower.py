@@ -44,7 +44,8 @@ from .polynomials import RatPoly
 Scalar = Union[int, Fraction]
 
 #: minimal polynomial of u over Q: t^8 - 2t^6 - 2t^4 - 2t^2 + 1
-U_MIN_POLY = RatPoly([1, 0, -2, 0, -2, 0, -2, 0, 1])
+_OCTIC = (1, 0, -2, 0, -2, 0, -2, 0, 1)
+U_MIN_POLY = RatPoly(_OCTIC)
 
 #: minimal polynomial of x = u + 1/u over Q: t^4 - 6t^2 + 4
 X_MIN_POLY = RatPoly([4, 0, -6, 0, 1])
@@ -71,21 +72,19 @@ def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 def _reduce_u(p: Sequence[int]) -> list[int]:
-    """Integer u-polynomial reduced below degree 8 by
-    u^n = u^(n-8) (2u^6 + 2u^4 + 2u^2 - 1)."""
+    """Integer u-polynomial reduced below degree 8 by subtracting
+    multiples of the monic octic, top degree first."""
     p = list(p) + [0] * (8 - len(p))
     for n in range(len(p) - 1, 7, -1):
         c = p[n]
         if c:
-            p[n - 8] -= c
-            p[n - 6] += 2 * c
-            p[n - 4] += 2 * c
-            p[n - 2] += 2 * c
+            for k, a in enumerate(_OCTIC):
+                p[n - 8 + k] -= c * a
     return p[:8]
 
 
-# 1/u = 2u + 2u^3 + 2u^5 - u^7, read off the minimal polynomial.
-_INV_U = (0, 2, 0, 2, 0, 2, 0, -1)
+# u (u^7 - 2u^5 - 2u^3 - 2u) = -1, so 1/u negates the octic above u^0.
+_INV_U = tuple(-a for a in _OCTIC[1:])
 
 # x = u + 1/u, and 2c = 4/x = 6x - x^3, read off x^4 - 6x^2 + 4 = 0.
 _X = tuple(a + (k == 1) for k, a in enumerate(_INV_U))
@@ -198,12 +197,10 @@ class FieldElement:
     # -- ring structure --------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, FieldElement):
-            return self.den == other.den and self.nums == other.nums
-        q = _as_scalar(other)
-        if q is not None:
-            return self.is_rational() and Fraction(self.nums[0], self.den) == q
-        return NotImplemented
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
         # a rational element equals its Fraction (and int), so it hashes alike
@@ -222,8 +219,6 @@ class FieldElement:
         if other is None:
             return NotImplemented
         da, db = self.den, other.den
-        if da == db:
-            return _reduced([a + b for a, b in zip(self.nums, other.nums)], da)
         return _reduced([a * db + b * da for a, b in zip(self.nums, other.nums)], da * db)
 
     __radd__ = __add__
@@ -241,12 +236,9 @@ class FieldElement:
         return other - self
 
     def __mul__(self, other: FieldElement | Scalar) -> FieldElement:
-        if not isinstance(other, FieldElement):
-            q = _as_scalar(other)
-            if q is None:
-                return NotImplemented
-            return _reduced([n * q.numerator for n in self.nums],
-                            self.den * q.denominator)
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
         table = _structure()
         right = [(j, y) for j, y in enumerate(other.nums) if y]
         out = [0] * 16
@@ -438,12 +430,18 @@ class LinearMap:
 
 
 def substitution_map(image_u: FieldElement, image_r: FieldElement) -> LinearMap:
-    """The linear map u^k r^e -> image_u^k image_r^e on the basis. It is a
-    field automorphism exactly when defining_relations_hold(image_u, image_r)."""
+    """The automorphism u -> image_u, r -> image_r, as the linear map m:
+    u^k r^e -> image_u^k image_r^e. The structure tensor reduces only u^8
+    (by the octic) and r^2 (to -1 - c r), so m is multiplicative exactly
+    when it agrees with the tensor on those two; otherwise ValueError."""
     powers = [_ONE]
     for _ in range(7):
         powers.append(powers[-1] * image_u)
-    return LinearMap.from_images(powers + [p * image_r for p in powers])
+    m = LinearMap.from_images(powers + [p * image_r for p in powers])
+    u, r = constant("u"), constant("r")
+    if image_u * powers[7] != m(u**8) or image_r * image_r != m(r * r):
+        raise ValueError("images do not satisfy the tower relations")
+    return m
 
 
 @lru_cache(maxsize=1)
@@ -454,27 +452,28 @@ def _conjugation() -> LinearMap:
 
 def substitute(elem: FieldElement, image_u: FieldElement,
                image_r: FieldElement) -> FieldElement:
-    """Extend u -> image_u, r -> image_r linearly over the monomial basis."""
+    """The image of elem under the automorphism u -> image_u, r -> image_r;
+    ValueError when the images do not define one."""
     return substitution_map(image_u, image_r)(elem)
 
 
 def substitute_with_powers(elem: FieldElement,
                            u_powers: Sequence[FieldElement],
                            image_r: FieldElement) -> FieldElement:
-    """substitute() with the powers image_u^0..image_u^7 given."""
+    """The linear map u^k r^e -> u_powers[k] image_r^e applied to elem,
+    with the powers image_u^0..image_u^7 given and no relation check."""
     return LinearMap.from_images(list(u_powers) + [p * image_r for p in u_powers])(elem)
 
 
 def defining_relations_hold(image_u: FieldElement,
                             image_r: FieldElement) -> bool:
     """Whether the pair of images satisfies the tower's two relations,
-    i.e. extends to a field automorphism. c = 2/(u + 1/u) is carried
-    through the map by its definition; the octic is checked first, so
-    image_u + 1/image_u is a conjugate of x and nonzero."""
-    if not U_MIN_POLY(image_u).is_zero():
+    i.e. whether substitution_map accepts it."""
+    try:
+        substitution_map(image_u, image_r)
+    except ValueError:
         return False
-    c = 2 / (image_u + image_u.inverse())
-    return (image_r * image_r + c * image_r + 1).is_zero()
+    return True
 
 
 # -- named constants --------------------------------------------------------

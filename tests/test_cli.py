@@ -246,6 +246,15 @@ class TestSearch:
         assert err.count("\n") == 1
         assert "seed" in err
 
+    @pytest.mark.parametrize("dim", ("100000", str(10**30)))
+    def test_dimension_too_large_exits_2_naming_it(self, capsys, dim):
+        # both are rejected before any table is allocated
+        code, out, err = run_cli(capsys, "search", "--dim", dim, "--restarts", "1")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert dim in err
+
     def test_huge_seed_is_accepted(self, capsys):
         code, reports = run_json(capsys, "search", "--dim", "3",
                                  "--seed", "99999999999999999999999999")
@@ -356,6 +365,17 @@ class TestConfig:
         assert code == 2
         assert err.count("\n") == 1
         assert "seed" in err
+
+    def test_integer_too_large_for_a_float_exits_2(self, capsys, tmp_path):
+        # read as the flag --tolerance 1000...0 is: a float, here inf
+        config = tmp_path / "options.json"
+        config.write_text(json.dumps({"tolerance": 10**400}))
+        code, out, err = run_cli(capsys, "search", "--dim", "3",
+                                 "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "tolerance" in err
 
     def test_missing_file_rejected(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "discriminant", "--dim", "4",

@@ -16,7 +16,13 @@ from sicfield.galois import (
     order_census,
     standard_generators,
 )
-from sicfield.tower import FieldElement, constant, defining_relations_hold, embed
+from sicfield.tower import (
+    U_MIN_POLY,
+    FieldElement,
+    constant,
+    defining_relations_hold,
+    embed,
+)
 
 GENS = standard_generators()
 G1, G2, G3, G4 = GENS["g1"], GENS["g2"], GENS["g3"], GENS["g4"]
@@ -61,6 +67,31 @@ class TestAutomorphismValidation:
                     if defining_relations_hold(u, r)}
         assert accepted == group_pairs
 
+    def test_octic_is_checked_on_its_own(self):
+        # C(0) = 0 and i^2 = -1, so the r-relation holds; only the octic fails
+        zero, i = FieldElement.zero(), constant("i")
+        assert not defining_relations_hold(zero, i)
+        with pytest.raises(ValueError):
+            Automorphism(zero, i)
+
+    def test_relation_check_matches_horner_reference(self):
+        def reference(image_u, image_r):
+            # the relations as first written: Horner on the octic, then
+            # c = 2/(u + 1/u) carried through the map by its definition
+            if not U_MIN_POLY(image_u).is_zero():
+                return False
+            c = 2 / (image_u + image_u.inverse())
+            return (image_r * image_r + c * image_r + 1).is_zero()
+
+        others = [FieldElement.zero(), FieldElement.from_rational(2),
+                  U + 1, constant("i"), constant("sqrt2"), constant("tau")]
+        u_images = list({g.image_u for g in GROUP}) + others
+        r_images = list({g.image_r for g in GROUP}) + others
+        for image_u in u_images:
+            for image_r in r_images:
+                assert (defining_relations_hold(image_u, image_r)
+                        == reference(image_u, image_r))
+
     def test_identity(self):
         assert Automorphism.identity().is_identity()
         assert Automorphism.identity().apply(constant("tau")) == constant("tau")
@@ -89,6 +120,21 @@ class TestGroupStructure:
         assert G4 * G1 * inv == G3
         assert G4 * G3 * inv == G1
         assert G4 * G2 * inv == G2
+
+    def test_powers_match_repeated_products(self):
+        identity = Automorphism.identity()
+        for g in (G4, G1 * G4):
+            inverse = next(h for h in GROUP if (h * g).is_identity())
+            for n in range(-17, 18):
+                expected = identity
+                for _ in range(abs(n)):
+                    expected = expected * (g if n > 0 else inverse)
+                assert g**n == expected
+
+    def test_huge_power_counts_modulo_the_order(self):
+        g = G1 * G4  # order 4, and 4 divides 10^18
+        assert (g ** 10**18).is_identity()
+        assert g ** (10**18 + 1) == g
 
     def test_mixed_products_have_order_four(self):
         assert element_order(G1 * G4) == 4

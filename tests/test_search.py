@@ -162,6 +162,11 @@ class TestConfig:
             SearchConfig(dimension=3, rng_seed=-1)
         assert SearchConfig(dimension=3, rng_seed=10**26).rng_seed == 10**26
 
+    def test_dimension_has_an_upper_bound(self):
+        for d in (10**5, 10**30):
+            with pytest.raises(ValueError, match=str(d)):
+                SearchConfig(dimension=d)
+
     def test_five_fields(self):
         assert [f.name for f in dataclasses.fields(SearchConfig)] == [
             "dimension", "restarts", "max_iterations", "tolerance", "rng_seed",

@@ -16,6 +16,7 @@ from sicfield.tower import (
     constant,
     embed,
     substitute,
+    substitution_map,
 )
 
 U = constant("u")
@@ -209,6 +210,21 @@ class TestFieldOps:
             assert len({e, int(q)}) == 1
 
 
+    @given(st.one_of(field_elements(),
+                     small_fractions().map(FieldElement.from_rational)),
+           st.one_of(small_fractions(), st.integers(-5, 5)))
+    @settings(max_examples=50, deadline=None)
+    def test_scalars_act_as_their_elements(self, x, q):
+        e = FieldElement.from_rational(q)
+        assert x * q == q * x == x * e
+        assert x + q == q + x == x + e
+        assert (x == q) == (x == e) == (x.is_rational() and x.coords[0] == q)
+        if x.is_rational():
+            assert hash(x) == hash(x.coords[0])
+            if x == q:
+                assert hash(x) == hash(q)
+
+
 class TestConjugation:
     def test_on_generators(self):
         assert U.conjugate() == U.inverse()
@@ -312,6 +328,12 @@ class TestSubstitute:
         assert g4.apply(U * U) == R * R
         assert g4.apply(U + R) == R + U
         assert substitute(TAU + R * U, R, U) == g4.apply(TAU + R * U)
+
+    def test_non_automorphism_images_rejected(self):
+        with pytest.raises(ValueError):
+            substitution_map(U + 1, R)
+        with pytest.raises(ValueError):
+            substitute(TAU, U + 1, R)
 
     def test_rational_fixed(self):
         half = FieldElement.from_rational(Fraction(1, 2))
