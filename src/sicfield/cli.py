@@ -342,8 +342,12 @@ def _apply_config(parser: argparse.ArgumentParser,
         parser.error(f"cannot read config {args.config}: {err}")
     if not isinstance(overrides, dict):
         parser.error("config must be a JSON object")
+    # a key names an optional flag of the subcommand; --help and --config
+    # themselves, and positional arguments, which the first parse already
+    # required, can never take effect
     sub = registry[args.command]
-    actions = {action.dest: action for action in sub._actions}
+    actions = {action.dest: action for action in sub._actions
+               if action.option_strings and action.dest not in ("help", "config")}
     unknown = set(overrides) - set(actions)
     if unknown:
         parser.error(f"unknown config keys: {', '.join(sorted(unknown))}")

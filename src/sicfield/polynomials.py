@@ -235,17 +235,15 @@ def _coerce(value: RatPoly | Scalar) -> RatPoly | None:
     return None
 
 
-def palindromic_lift(p: RatPoly, n: int | None = None) -> RatPoly:
-    """Return t^n * p(t + 1/t), the palindromic lift of p.
+def palindromic_lift(p: RatPoly) -> RatPoly:
+    """Return t^n * p(t + 1/t) with n the degree of p, the palindromic
+    lift of p.
 
     If z is a root of the lift then z + 1/z is a root of p, which is how a
     degree-n minimal polynomial of a real trace is promoted to the
     degree-2n minimal polynomial of the algebraic number on the unit side.
     """
-    if n is None:
-        n = p.degree
-    if n != p.degree:
-        raise ValueError("lift order must equal the degree")
+    n = p.degree
     if n < 0:
         raise ValueError("cannot lift the zero polynomial")
     # t^n p(t + 1/t) = sum_k p_k t^(n-k) (t^2 + 1)^k

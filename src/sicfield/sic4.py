@@ -22,7 +22,7 @@ import numpy as np
 from . import matrices
 from .matrices import Matrix
 from .minpoly import minimal_polynomial
-from .tower import FieldElement, constant, embed
+from .tower import _U_INVERSE, FieldElement, constant, embed
 from .weyl import _tau_powers, displacement_dagger_sign, monomial
 
 __all__ = [
@@ -61,7 +61,7 @@ def canonical_phase_matrix(negate_entry: tuple[int, int] | None = None) -> Matri
     negative control.
     """
     u = constant("u")
-    v = u.inverse()
+    v = _U_INVERSE
     one = FieldElement.one()
     rows = (
         (one, u, -one, v),

@@ -18,7 +18,7 @@ basis element m being u^(m % 8) r^(m // 8). Every operation is integer
 linear algebra on that basis: an element is 16 integer numerators over
 one positive denominator, a product contracts them with the structure
 tensor of basis products, and conjugation and the Galois automorphisms
-are integer 16x16 matrices (LinearMap).
+are integer 16x16 matrices (Automorphism).
 
 u embeds as the unit-modulus complex number
 (sqrt5 - 1)/(2 sqrt2) + i sqrt(sqrt5 + 1)/2 and r as the real number
@@ -304,7 +304,7 @@ class FieldElement:
 
     def conjugate(self) -> FieldElement:
         """Complex conjugation: u maps to 1/u, r is real and fixed."""
-        return _conjugation()(self)
+        return _conjugation()._image(self)
 
     # -- display -----------------------------------------------------------
 
@@ -358,16 +358,27 @@ _ZERO = _make((0,) * 16, 1)
 _ONE = _make((1,) + (0,) * 15, 1)
 
 
-# -- linear maps ----------------------------------------------------------------
+# -- automorphisms ----------------------------------------------------------------
+
+_U = _make((0, 1) + (0,) * 14, 1)
+_R = _make((0,) * 8 + (1,) + (0,) * 7, 1)
+_U_INVERSE = _make(_INV_U + (0,) * 8, 1)
+# r^2 + c r + 1 = 0 gives 1/r = -(r + c), and c = _C2 / 2
+_R_INVERSE = _reduced([-a for a in _C2] + [-2] + [0] * 7, 2)
 
 
-class LinearMap:
-    """A Q-linear map of the field: an integer 16x16 matrix over a
-    positive denominator, in lowest terms.
+class Automorphism:
+    """A field automorphism, held as an integer 16x16 matrix on the basis
+    u^k r^e over a positive denominator, in lowest terms.
 
     Column m, stored sparse as (row, entry) pairs, holds the numerators
-    of the image of basis element m. Calling the map applies it to an
-    element; `a @ b` is the composition a after b, a matrix product.
+    of the image of basis element m. Automorphism(image_u, image_r) is
+    the map u^k r^e -> image_u^k image_r^e. The structure tensor reduces
+    only u^8 (by the octic) and r^2 (to -1 - c r), so that map is
+    multiplicative exactly when it agrees with the tensor on those two;
+    otherwise ValueError. Products are matrix products, composing right
+    to left: (sigma * phi)(e) = sigma(phi(e)). Powers and inverses are
+    products, so they need no check.
     """
 
     __slots__ = ("cols", "den")
@@ -375,25 +386,29 @@ class LinearMap:
     cols: tuple[tuple[tuple[int, int], ...], ...]
     den: int
 
-    def __init__(self, columns: Sequence[Sequence[int]], den: int = 1) -> None:
-        g = gcd(den, *(x for col in columns for x in col))
-        if den < 0:
-            g = -g
-        object.__setattr__(self, "cols", tuple(_sparse([x // g for x in col]) for col in columns))
-        object.__setattr__(self, "den", den // g)
+    def __new__(cls, image_u: FieldElement, image_r: FieldElement) -> Automorphism:
+        m = _substitution(image_u, image_r)
+        if m is None:
+            raise ValueError("images do not satisfy the tower relations")
+        return m
 
     def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("LinearMap is immutable")
+        raise AttributeError("Automorphism is immutable")
 
     @classmethod
-    def from_images(cls, images: Sequence[FieldElement]) -> LinearMap:
-        """The map sending basis element m to images[m]."""
-        den = lcm(*(e.den for e in images))
-        return cls([[n * (den // e.den) for n in e.nums] for e in images], den)
+    def identity(cls) -> Automorphism:
+        return _IDENTITY
 
-    @classmethod
-    def identity(cls) -> LinearMap:
-        return cls([[int(k == m) for k in range(16)] for m in range(16)])
+    def is_identity(self) -> bool:
+        return self == _IDENTITY
+
+    @property
+    def image_u(self) -> FieldElement:
+        return self._image(_U)
+
+    @property
+    def image_r(self) -> FieldElement:
+        return self._image(_R)
 
     def _numerators(self, nums: Sequence[int]) -> list[int]:
         out = [0] * 16
@@ -403,11 +418,16 @@ class LinearMap:
                     out[k] += x * c
         return out
 
-    def __call__(self, elem: FieldElement) -> FieldElement:
+    def _image(self, elem: FieldElement) -> FieldElement:
         return _reduced(self._numerators(elem.nums), self.den * elem.den)
 
-    def __matmul__(self, other: LinearMap) -> LinearMap:
-        if not isinstance(other, LinearMap):
+    def apply(self, elem: FieldElement) -> FieldElement:
+        """Image of a field element under the automorphism."""
+        return self._image(elem)
+
+    def __mul__(self, other: Automorphism) -> Automorphism:
+        """Composition, other first: (self * other)(e) = self(other(e))."""
+        if not isinstance(other, Automorphism):
             return NotImplemented
         columns = []
         for col in other.cols:
@@ -415,10 +435,21 @@ class LinearMap:
             for k, c in col:
                 dense[k] = c
             columns.append(self._numerators(dense))
-        return LinearMap(columns, self.den * other.den)
+        return _matrix(columns, self.den * other.den)
+
+    def __pow__(self, n: int) -> Automorphism:
+        """The group is finite, so n counts modulo the order of self; a
+        negative n is a power of the inverse."""
+        result = _IDENTITY
+        for _ in range(n % element_order(self)):
+            result = result * self
+        return result
+
+    def inverse(self) -> Automorphism:
+        return self ** -1
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LinearMap):
+        if not isinstance(other, Automorphism):
             return NotImplemented
         return self.den == other.den and self.cols == other.cols
 
@@ -426,35 +457,61 @@ class LinearMap:
         return hash((self.cols, self.den))
 
     def __repr__(self) -> str:
-        return f"<LinearMap over {self.den}>"
+        return f"<Automorphism u -> {self.image_u}, r -> {self.image_r}>"
 
 
-def substitution_map(image_u: FieldElement, image_r: FieldElement) -> LinearMap:
-    """The automorphism u -> image_u, r -> image_r, as the linear map m:
-    u^k r^e -> image_u^k image_r^e. The structure tensor reduces only u^8
-    (by the octic) and r^2 (to -1 - c r), so m is multiplicative exactly
-    when it agrees with the tensor on those two; otherwise ValueError."""
-    powers = [_ONE]
-    for _ in range(7):
-        powers.append(powers[-1] * image_u)
-    m = LinearMap.from_images(powers + [p * image_r for p in powers])
-    u, r = constant("u"), constant("r")
-    if image_u * powers[7] != m(u**8) or image_r * image_r != m(r * r):
-        raise ValueError("images do not satisfy the tower relations")
+def _matrix(columns: Sequence[Sequence[int]], den: int) -> Automorphism:
+    """The map with these integer columns over den > 0, in lowest terms;
+    nothing checks that it is multiplicative."""
+    g = gcd(den, *(x for col in columns for x in col))
+    m = object.__new__(Automorphism)
+    object.__setattr__(m, "cols", tuple(_sparse([x // g for x in col]) for col in columns))
+    object.__setattr__(m, "den", den // g)
     return m
 
 
+def _from_images(images: Sequence[FieldElement]) -> Automorphism:
+    """The linear map sending basis element m to images[m], unchecked."""
+    den = lcm(*(e.den for e in images))
+    return _matrix([[n * (den // e.den) for n in e.nums] for e in images], den)
+
+
+def _substitution(image_u: FieldElement, image_r: FieldElement) -> Automorphism | None:
+    """The map u^k r^e -> image_u^k image_r^e, or None when it does not
+    agree with the structure tensor on u^8 and r^2."""
+    powers = [_ONE]
+    for _ in range(7):
+        powers.append(powers[-1] * image_u)
+    m = _from_images(powers + [p * image_r for p in powers])
+    if image_u * powers[7] != m._image(_U**8) or image_r * image_r != m._image(_R * _R):
+        return None
+    return m
+
+
+_IDENTITY = _matrix([[int(k == m) for k in range(16)] for m in range(16)], 1)
+
+
+def element_order(g: Automorphism) -> int:
+    generators = (_U, _R)
+    images = (g.image_u, g.image_r)
+    for order in range(1, 17):
+        if images == generators:
+            return order
+        images = (g.apply(images[0]), g.apply(images[1]))
+    raise ValueError("element order exceeds the field degree")
+
+
 @lru_cache(maxsize=1)
-def _conjugation() -> LinearMap:
+def _conjugation() -> Automorphism:
     """Complex conjugation, the automorphism u -> 1/u, r -> r (g1)."""
-    return substitution_map(constant("u").inverse(), constant("r"))
+    return Automorphism(_U_INVERSE, _R)
 
 
 def substitute(elem: FieldElement, image_u: FieldElement,
                image_r: FieldElement) -> FieldElement:
     """The image of elem under the automorphism u -> image_u, r -> image_r;
     ValueError when the images do not define one."""
-    return substitution_map(image_u, image_r)(elem)
+    return Automorphism(image_u, image_r)._image(elem)
 
 
 def substitute_with_powers(elem: FieldElement,
@@ -462,18 +519,14 @@ def substitute_with_powers(elem: FieldElement,
                            image_r: FieldElement) -> FieldElement:
     """The linear map u^k r^e -> u_powers[k] image_r^e applied to elem,
     with the powers image_u^0..image_u^7 given and no relation check."""
-    return LinearMap.from_images(list(u_powers) + [p * image_r for p in u_powers])(elem)
+    return _from_images(list(u_powers) + [p * image_r for p in u_powers])._image(elem)
 
 
 def defining_relations_hold(image_u: FieldElement,
                             image_r: FieldElement) -> bool:
     """Whether the pair of images satisfies the tower's two relations,
-    i.e. whether substitution_map accepts it."""
-    try:
-        substitution_map(image_u, image_r)
-    except ValueError:
-        return False
-    return True
+    i.e. whether Automorphism accepts it."""
+    return _substitution(image_u, image_r) is not None
 
 
 # -- named constants --------------------------------------------------------
@@ -486,16 +539,12 @@ CONSTANT_NAMES = (
 
 @lru_cache(maxsize=1)
 def _constants() -> dict[str, FieldElement]:
-    u = _make((0, 1) + (0,) * 14, 1)
-    inv_u = _make(_INV_U + (0,) * 8, 1)
-    r = _make((0,) * 8 + (1,) + (0,) * 7, 1)
-    c = _reduced(list(_C2) + [0] * 8, 2)
-    inv_r = -(r + c)  # r^2 + c r + 1 = 0 gives 1/r = -(r + c)
-    x = u + inv_u
+    u, r = _U, _R
+    x = u + _U_INVERSE
     sqrt5 = 3 - x * x
-    isqrt = u - inv_u  # i * sqrt(sqrt5 + 1)
+    isqrt = u - _U_INVERSE  # i * sqrt(sqrt5 + 1)
     sqrt2 = -(x * isqrt * isqrt) / 2
-    i = -(isqrt * (r - inv_r)) / 2
+    i = -(isqrt * (r - _R_INVERSE)) / 2
     tau = -(1 + i) * sqrt2 / 2
     u2 = isqrt * sqrt2 / 2
     u3 = (sqrt5 - 1) * sqrt2 / 4 + isqrt / 2

@@ -84,7 +84,7 @@ def test_criterion_03_palindrome_machinery():
     p1 = RatPoly([1, 0, -2, 0, -2, 0, -2, 0, 1])
     px = RatPoly([4, 0, -6, 0, 1])
     assert palindrome_reduce(p1) == px
-    assert palindromic_lift(px, 4) == p1
+    assert palindromic_lift(px) == p1
 
 
 def test_criterion_04_splitting():

@@ -332,6 +332,29 @@ class TestConfig:
         assert code == 2
         assert "bogus" in err
 
+    @pytest.mark.parametrize("argv, key", [
+        (["discriminant", "--dim", "4"], "help"),
+        (["discriminant", "--dim", "4"], "config"),
+        (["minpoly", "u"], "expression"),
+    ])
+    def test_key_that_cannot_take_effect_rejected(self, capsys, tmp_path, argv, key):
+        config = tmp_path / "options.json"
+        config.write_text(json.dumps({key: "x"}))
+        code, out, err = run_cli(capsys, *argv, "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert [line for line in err.splitlines() if "unknown config keys:" in line] == [
+            f"sicfield: error: unknown config keys: {key}"]
+
+    def test_expression_needs_the_command_line(self, capsys, tmp_path):
+        # the positional is required before the config is read
+        config = tmp_path / "options.json"
+        config.write_text(json.dumps({"expression": "u"}))
+        code, out, err = run_cli(capsys, "minpoly", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert "the following arguments are required" in err
+
     @pytest.mark.parametrize("key, value", [
         ("json", "no"),
         ("json", 1),

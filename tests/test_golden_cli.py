@@ -40,3 +40,21 @@ def test_output_matches_golden_bytes(name, capsysbinary):
     out = capsysbinary.readouterr().out
     assert out == (GOLDEN / f"{name}.json").read_bytes()
     assert code == EXIT_CODES[name]
+
+
+def test_exact_audit_runs_no_elimination_inverse(monkeypatch, capsysbinary):
+    # 1/u and 1/r come from their closed forms, never from FieldElement.inverse
+    from sicfield import sic4, tower, weyl
+
+    def no_inverse(self):
+        raise AssertionError("FieldElement.inverse called")
+
+    monkeypatch.setattr(tower.FieldElement, "inverse", no_inverse)
+    for cached in (tower._constants, tower._conjugation, weyl._tau_powers,
+                   sic4.fiducial_projector):
+        cached.cache_clear()
+    for name in ("galois", "verify-d4", "units"):
+        code = main(COMMANDS[name])
+        out = capsysbinary.readouterr().out
+        assert out == (GOLDEN / f"{name}.json").read_bytes()
+        assert code == EXIT_CODES[name]

@@ -16,7 +16,6 @@ from sicfield.tower import (
     constant,
     embed,
     substitute,
-    substitution_map,
 )
 
 U = constant("u")
@@ -331,7 +330,7 @@ class TestSubstitute:
 
     def test_non_automorphism_images_rejected(self):
         with pytest.raises(ValueError):
-            substitution_map(U + 1, R)
+            Automorphism(U + 1, R)
         with pytest.raises(ValueError):
             substitute(TAU, U + 1, R)
 
