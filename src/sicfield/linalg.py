@@ -1,8 +1,8 @@
 """Exact linear algebra over Q, sized for the degree-16 tower.
 
-Elimination is fraction-free: rows are scaled to integers and reduced
-with Bareiss's rule, whose divisions are exact, so no Fraction is made
-until the reduced form is read off.
+first_dependence is the only elimination the library runs; the tower's
+inverse and minimal polynomial both read it. rref, solve and nullspace
+(fraction-free, by Bareiss's rule) are kept for tests and tracing.
 """
 
 from __future__ import annotations

@@ -7,9 +7,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .linalg import first_dependence
 from .polynomials import RatPoly, palindromic_lift
-from .tower import FieldElement
+from .tower import FieldElement, _power_dependence
 
 __all__ = [
     "MinimalPolynomial",
@@ -46,27 +45,10 @@ class MinimalPolynomial:
 
 
 def minimal_polynomial(a: FieldElement) -> MinimalPolynomial:
-    """Minimal polynomial of a over Q, found as the first linear
-    dependence among the powers 1, a, a^2, ...
-
-    Power k is N_k / D_k with integer numerators N_k, so an integer
-    dependence sum c_k N_k = 0 gives sum c_k D_k t^k, the primitive form
-    up to content and sign. The tower has degree 16, so a dependence
-    shows by the 17th power and its degree divides 16.
-    """
-    powers = []
-
-    def numerators():
-        power = FieldElement.one()
-        while len(powers) <= 16:
-            powers.append(power)
-            yield power.nums
-            power = power * a
-
-    combination = first_dependence(numerators())
-    if combination is None:
-        raise AssertionError("no dependence found within the tower degree")
-    coeffs = [c * p.den for c, p in zip(combination, powers)]
+    """Minimal polynomial of a over Q: the first dependence among the
+    powers of a, which FieldElement.inverse also reads, with its content
+    divided out and its lead made positive. Its degree divides 16."""
+    coeffs, _ = _power_dependence(a)
     content = gcd(*coeffs) if coeffs[-1] > 0 else -gcd(*coeffs)
     primitive = RatPoly(c // content for c in coeffs)
     return MinimalPolynomial(primitive / primitive.coeffs[-1], primitive,

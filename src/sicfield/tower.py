@@ -18,7 +18,8 @@ basis element m being u^(m % 8) r^(m // 8). Every operation is integer
 linear algebra on that basis: an element is 16 integer numerators over
 one positive denominator, a product contracts them with the structure
 tensor of basis products, and conjugation and the Galois automorphisms
-are integer 16x16 matrices (Automorphism).
+are integer 16x16 matrices (Automorphism). The inverse of a and its
+minimal polynomial both read the first dependence among the powers of a.
 
 u embeds as the unit-modulus complex number
 (sqrt5 - 1)/(2 sqrt2) + i sqrt(sqrt5 + 1)/2 and r as the real number
@@ -38,7 +39,7 @@ from typing import Iterable, Sequence, Union
 
 import mpmath
 
-from .linalg import bareiss
+from .linalg import first_dependence
 from .polynomials import RatPoly
 
 Scalar = Union[int, Fraction]
@@ -285,22 +286,17 @@ class FieldElement:
         return result
 
     def inverse(self) -> FieldElement:
-        """Multiplicative inverse, by fraction-free elimination on the
-        integer matrix of multiplication by self."""
+        """Multiplicative inverse from the first dependence
+        q_0 + q_1 a + ... + q_n a^n = 0 among the powers of a: q_0 != 0
+        in a field, so 1/a = -(q_1 + q_2 a + ... + q_n a^(n-1)) / q_0."""
         if self.is_zero():
             raise ZeroDivisionError("zero has no inverse")
-        # column j of `matrix` is 2 * nums * basis_j, so self * y = 1 reads
-        # matrix . y = 2 * den * e_0
-        table = _structure()
-        matrix = [[0] * 17 for _ in range(16)]
-        for i, x in enumerate(self.nums):
-            if x:
-                for j, entries in enumerate(table[i]):
-                    for k, t in entries:
-                        matrix[k][j] += t * x
-        matrix[0][16] = 2 * self.den
-        reduced, _, divisor = bareiss(matrix)
-        return _reduced([row[16] for row in reduced], divisor)
+        q, powers = _power_dependence(self)
+        if not q[0]:
+            raise ZeroDivisionError("the power dependence has no constant term")
+        den = lcm(*(p.den for p in powers[:-1]))
+        scaled = [[c * (den // p.den) * n for n in p.nums] for c, p in zip(q[1:], powers)]
+        return _reduced([-sum(col) for col in zip(*scaled)], q[0] * den)
 
     def conjugate(self) -> FieldElement:
         """Complex conjugation: u maps to 1/u, r is real and fixed."""
@@ -356,6 +352,26 @@ def _coerce(value: object) -> FieldElement | None:
 
 _ZERO = _make((0,) * 16, 1)
 _ONE = _make((1,) + (0,) * 15, 1)
+
+
+def _power_dependence(a: FieldElement) -> tuple[list[int], list[FieldElement]]:
+    """The first dependence q_0 + q_1 a + ... + q_n a^n = 0 among the powers
+    of a, and the powers 1, ..., a^n drawn for it. Power k is N_k / D_k, so
+    the integer dependence sum c_k N_k = 0 gives q_k = c_k D_k; the tower
+    has degree 16, so it shows by the 17th power."""
+    powers: list[FieldElement] = []
+
+    def numerators():
+        power = _ONE
+        while len(powers) <= 16:
+            powers.append(power)
+            yield power.nums
+            power = power * a
+
+    combination = first_dependence(numerators())
+    if combination is None:
+        raise AssertionError("no dependence found within the tower degree")
+    return [c * p.den for c, p in zip(combination, powers)], powers
 
 
 # -- automorphisms ----------------------------------------------------------------

@@ -4,7 +4,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import field_elements, small_fractions
+from conftest import field_elements, nonzero_field_elements, small_fractions
 from sicfield.minpoly import (
     is_algebraic_integer,
     is_unit,
@@ -14,7 +14,14 @@ from sicfield.minpoly import (
     verify_split,
 )
 from sicfield.polynomials import RatPoly
-from sicfield.tower import U_MIN_POLY, X_MIN_POLY, FieldElement, constant, embed
+from sicfield.tower import (
+    CONSTANT_NAMES,
+    U_MIN_POLY,
+    X_MIN_POLY,
+    FieldElement,
+    constant,
+    embed,
+)
 
 
 class TestMinimalPolynomial:
@@ -91,6 +98,17 @@ class TestMinimalPolynomial:
         mp = minimal_polynomial(FieldElement.from_rational(q))
         assert mp.degree == 1
         assert mp.monic == RatPoly([-q, 1])
+
+    @given(st.one_of(nonzero_field_elements(),
+                     st.sampled_from(CONSTANT_NAMES).map(constant)))
+    @settings(max_examples=30, deadline=None)
+    def test_inverse_reverses_the_minimal_polynomial(self, a):
+        # t^n p(1/t) kills 1/a; reversal keeps the content, and the sign
+        # makes the lead positive again
+        coeffs = minimal_polynomial(a).primitive.coeffs[::-1]
+        sign = 1 if coeffs[-1] > 0 else -1
+        expected = RatPoly(sign * c for c in coeffs)
+        assert minimal_polynomial(a.inverse()).primitive == expected
 
 
 class TestIntegralityAndUnits:

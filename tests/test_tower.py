@@ -143,6 +143,10 @@ class TestFieldOps:
         for name in CONSTANT_NAMES:
             e = constant(name)
             assert e * e.inverse() == 1
+        # a rational element, and one with coordinates above 64 bits
+        assert FieldElement.from_rational(Fraction(3, 7)).inverse() == Fraction(7, 3)
+        big = U * (2**70 + 1) / 3**45 - R / (2**65 + 3) + 5
+        assert big.den.bit_length() > 64 and big * big.inverse() == 1
 
     def test_zero_division(self):
         with pytest.raises(ZeroDivisionError):
