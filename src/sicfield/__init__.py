@@ -6,6 +6,7 @@ Q(u, r) with rational coordinates, so every identity it reports is a
 theorem, not a float coincidence. The numerical layer (search) runs
 the general-dimension fiducial search with numpy. The expressions and
 cli modules wrap both in a small language and a command line tool.
+numpy and mpmath load on first use (see _lazy), not on import.
 """
 
 from .expressions import ExpressionError, evaluate_expression, format_expression, parse_expression

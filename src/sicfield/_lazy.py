@@ -1,0 +1,35 @@
+"""numpy and mpmath, loaded on first use rather than at import.
+
+Each module is registered in sys.modules when sicfield is imported, but
+its code runs only when one of its attributes is first read, so the
+exact commands, which never read one, start without paying for either.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+from types import ModuleType
+
+
+def lazy_import(name: str) -> ModuleType:
+    """The module `name`, executed on its first attribute access.
+
+    A module that is not installed raises ModuleNotFoundError here, not
+    an AttributeError later; one already imported is returned as it is.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module
+
+
+np = lazy_import("numpy")
+mpmath = lazy_import("mpmath")

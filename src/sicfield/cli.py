@@ -30,8 +30,7 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from typing import Any
 
-import mpmath
-
+from ._lazy import mpmath
 from .expressions import evaluate_expression
 from .galois import (
     action_table,
@@ -68,12 +67,13 @@ def render_number(value: Any) -> str:
         ctx.rounding = ROUND_HALF_EVEN
         if isinstance(value, Fraction):
             dec = Decimal(value.numerator) / Decimal(value.denominator)
-        elif isinstance(value, mpmath.mpf):
-            dec = Decimal(mpmath.nstr(value, 25))
         elif isinstance(value, int):
             dec = Decimal(value)
-        else:
+        # floats first, so that printing a double does not load mpmath
+        elif isinstance(value, float) or not isinstance(value, mpmath.mpf):
             dec = Decimal(float(value))
+        else:
+            dec = Decimal(mpmath.nstr(value, 25))
         return str(ctx.plus(dec))
 
 

@@ -16,8 +16,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
+from ._lazy import np
 from .sic4 import embedded_projector
 from .weyl import tau_phase
 

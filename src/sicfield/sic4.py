@@ -17,9 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-import numpy as np
-
 from . import matrices
+from ._lazy import np
 from .matrices import Matrix
 from .minpoly import minimal_polynomial
 from .tower import _U_INVERSE, FieldElement, constant, embed

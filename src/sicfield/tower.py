@@ -37,8 +37,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
-import mpmath
-
+from ._lazy import mpmath
 from .linalg import first_dependence
 from .polynomials import RatPoly
 

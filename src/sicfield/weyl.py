@@ -19,8 +19,7 @@ import cmath
 from functools import lru_cache
 from typing import Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .matrices import Matrix
 from .tower import FieldElement, constant
 

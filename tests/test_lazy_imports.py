@@ -1,0 +1,145 @@
+"""numpy and mpmath load on first use, and the package surface stays put.
+
+The exact commands run in fresh interpreters here, because only a fresh
+interpreter shows what importing and running them loads: the test
+process itself has imported numpy long before.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import mpmath
+import numpy as np
+import pytest
+
+import sicfield
+from sicfield._lazy import lazy_import
+from sicfield.cli import main, render_number
+
+GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
+EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
+ENV = dict(os.environ, PYTHONPATH=str(Path(sicfield.__file__).resolve().parents[1]))
+
+# runs the CLI, then reports on stderr which numpy and mpmath
+# submodules the run left in sys.modules
+CLI_RUN = """
+import json, sys
+from sicfield.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+loaded = sorted(m for m in sys.modules if m.startswith(("numpy.", "mpmath.")))
+sys.stderr.write(json.dumps(loaded))
+sys.exit(code)
+"""
+
+EXACT_COMMANDS = {
+    "verify-d4": ["verify-d4", "--json"],
+    "verify-d4_corrupt_1-2": ["verify-d4", "--corrupt", "1,2", "--json"],
+    "galois": ["galois", "--json"],
+    "units": ["units", "--json"],
+    "minpoly": ["minpoly", "u+r", "--json"],
+}
+
+
+def run_fresh(argv):
+    """Exit code, stdout bytes and loaded heavy submodules of one run."""
+    proc = subprocess.run([sys.executable, "-c", CLI_RUN, *argv], env=ENV,
+                          capture_output=True, check=False, timeout=120)
+    return proc.returncode, proc.stdout, json.loads(proc.stderr)
+
+
+def run_in_process(argv, capsysbinary):
+    code = main(list(argv))
+    return code, capsysbinary.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_COMMANDS))
+def test_exact_command_loads_neither_library(name, capsysbinary):
+    code, out, loaded = run_fresh(EXACT_COMMANDS[name])
+    assert loaded == []
+    golden = GOLDEN / f"{name}.json"
+    if golden.exists():
+        assert (code, out) == (EXIT_CODES[name], golden.read_bytes())
+    else:
+        assert (code, out) == run_in_process(EXACT_COMMANDS[name], capsysbinary)
+
+
+@pytest.mark.parametrize("argv, library", [
+    (["search", "--dim", "3", "--json"], "numpy."),
+    (["minpoly", "1/(u-1)", "--precision", "extended", "--json"], "mpmath."),
+])
+def test_numeric_command_loads_on_first_use(argv, library, capsysbinary):
+    code, out, loaded = run_fresh(argv)
+    assert any(m.startswith(library) for m in loaded)
+    assert (code, out) == run_in_process(argv, capsysbinary)
+
+
+def test_worker_import_keeps_search_bound_to_the_function():
+    # bench/worker.py imports the submodule by name and then calls
+    # sicfield.search(config); an import that rebinds the package's
+    # `search` to the submodule would fail every search operation
+    script = """
+import importlib, inspect
+import sicfield
+importlib.import_module("sicfield.search")
+assert inspect.isfunction(sicfield.search), sicfield.search
+config = sicfield.SearchConfig(dimension=3, rng_seed=1, restarts=1)
+print(sicfield.search(config).converged)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], env=ENV,
+                          capture_output=True, text=True, check=False, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
+
+
+def test_missing_module_fails_at_import_time():
+    name = "sicfield_no_such_module"
+    with pytest.raises(ModuleNotFoundError) as info:
+        lazy_import(name)
+    assert info.value.name == name
+    assert name in str(info.value)
+    assert name not in sys.modules
+
+
+def test_loaded_module_is_returned_as_is():
+    assert lazy_import("json") is json
+
+
+# the order of render_number's type tests must not change any rendering
+RENDERED = [
+    (0, "0"),
+    (-7, "-7"),
+    (10**15 + 1, "1.00000000000E+15"),
+    (123456789012345678901234567890, "1.23456789012E+29"),
+    (True, "1"),
+    (False, "0"),
+    (Fraction(1, 3), "0.333333333333"),
+    (Fraction(-22, 7), "-3.14285714286"),
+    (Fraction(123456789012_5, 10**4), "123456789.012"),
+    (Fraction(10**20, 3), "3.33333333333E+19"),
+    (0.0, "0"),
+    (-0.0, "0"),
+    (0.25, "0.25"),
+    (1 / 3, "0.333333333333"),
+    (-2.5e-7, "-2.50000000000E-7"),
+    (1e300, "1.00000000000E+300"),
+    (123456789012.5, "123456789012"),
+    (np.float64(0.4370160244488211), "0.437016024449"),
+    (np.float64(-1e-5), "-0.0000100000000000"),
+    (np.float64(2.5), "2.5"),
+    (np.int64(2**60 + 1), "1.15292150461E+18"),
+    (mpmath.mpf(1) / 3, "0.333333333333"),
+    (mpmath.mpf("-2.5e-7"), "-2.50000000000E-7"),
+    (mpmath.mpf(123456789012.5), "123456789012"),
+    (mpmath.mpf(0), "0.0"),
+    (mpmath.mpf("1e-30"), "1.00000000000E-30"),
+]
+
+
+@pytest.mark.parametrize("value, text", RENDERED, ids=repr)
+def test_render_number_table(value, text):
+    assert render_number(value) == text
