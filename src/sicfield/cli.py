@@ -215,6 +215,7 @@ def cmd_search(args: argparse.Namespace) -> list[dict]:
         "restarts_run": len(result.restarts),
         "best_restart": result.restart_index,
         "iterations": result.iterations,
+        "stop_reason": result.restarts[result.restart_index].stop_reason,
         "fourth_moment": render_number(result.fourth_moment),
         "fourth_moment_target": render_number(target),
         "fiducial": [render_complex(z) for z in result.fiducial],

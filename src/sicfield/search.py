@@ -7,7 +7,9 @@ The residual of a unit vector psi is
 which vanishes exactly on fiducials. The optimizer is projected
 gradient descent on the unit sphere with backtracking line search and
 seeded restarts; every restart draws its own independent random stream,
-so any single restart can be reproduced in isolation.
+so any single restart can be reproduced in isolation. The descent loop
+holds the current point's moments table: each line-search evaluation
+builds one table, and the gradient of the accepted point reuses it.
 """
 
 from __future__ import annotations
@@ -73,6 +75,10 @@ class RestartResult:
     iterations: int
     converged: bool
     fiducial: np.ndarray
+    #: why the restart ended: "converged", "stalled" (the line search found
+    #: no lower residual), "budget" (max_iterations ran out) or
+    #: "zero_gradient"
+    stop_reason: str
 
 
 @dataclass(frozen=True)
@@ -105,11 +111,29 @@ def _moments(d: int, psi: np.ndarray) -> np.ndarray:
     return (psi[shift].conj() * psi) @ dft
 
 
+def _evaluate(d: int, psi: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """The residual at psi, with the moments table and the deviations
+    |M|^2 - 1/(d+1) (zero at (0, 0)) that _descent reads."""
+    m = _moments(d, psi)
+    devs = m.real ** 2 + m.imag ** 2 - 1.0 / (d + 1)
+    devs[0, 0] = 0.0
+    flat = devs.ravel()
+    return float(flat @ flat), m, devs
+
+
+def _descent(d: int, psi: np.ndarray, m: np.ndarray, devs: np.ndarray) -> np.ndarray:
+    """The gradient of the residual in complex form, 2 * dR/d conj(psi),
+    from the moments and deviations _evaluate gave for this psi."""
+    shift, dft = _tables(d)
+    # M[-i, -j] = omega^(-ij) conj(M[i, j]), so the conj(psi[k + i]) in
+    # M[i, j] and the conj(psi[k]) in conj(M[i, j]) contribute equally
+    weights = (2 * devs * m) @ dft.conj()
+    return 4 * (weights * psi[shift]).sum(axis=0)
+
+
 def sic_residual(d: int, psi: np.ndarray) -> float:
     """Sum of squared deviations of the overlaps from 1/(d+1)."""
-    psi = np.asarray(psi, dtype=complex).reshape(d)
-    devs = np.abs(_moments(d, psi)) ** 2 - 1.0 / (d + 1)
-    return float(np.sum(devs.flat[1:] ** 2))
+    return _evaluate(d, np.asarray(psi, dtype=complex).reshape(d))[0]
 
 
 def residual_gradient(d: int, psi: np.ndarray) -> np.ndarray:
@@ -121,15 +145,9 @@ def residual_gradient(d: int, psi: np.ndarray) -> np.ndarray:
     sic_residual reproduce this vector directly.
     """
     psi = np.asarray(psi, dtype=complex).reshape(d)
-    shift, dft = _tables(d)
-    m = _moments(d, psi)
-    devs = np.abs(m) ** 2 - 1.0 / (d + 1)
-    devs[0, 0] = 0.0
-    # M[-i, -j] = omega^(-ij) conj(M[i, j]), so the conj(psi[k + i]) in
-    # M[i, j] and the conj(psi[k]) in conj(M[i, j]) contribute equally
-    weights = (2 * devs * m) @ dft.conj()
-    wirtinger = 2 * (weights * psi[shift]).sum(axis=0)
-    return np.concatenate([2 * wirtinger.real, 2 * wirtinger.imag])
+    _, m, devs = _evaluate(d, psi)
+    gradient = _descent(d, psi, m, devs)
+    return np.concatenate([gradient.real, gradient.imag])
 
 
 def fourth_moment(d: int, psi: np.ndarray) -> float:
@@ -158,32 +176,33 @@ def known_fiducial(d: int) -> np.ndarray:
 
 
 def _normalize(psi: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(psi)
-    if norm == 0:
+    norm2 = np.vdot(psi, psi).real
+    if norm2 == 0:
         raise ValueError("cannot normalize the zero vector")
-    return psi / norm
+    return psi / math.sqrt(norm2)
 
 
 def _single_run(config: SearchConfig, psi0: np.ndarray,
                 restart_index: int) -> RestartResult:
     d = config.dimension
     psi = _normalize(np.asarray(psi0, dtype=complex).reshape(d))
-    residual = sic_residual(d, psi)
+    residual, m, devs = _evaluate(d, psi)
     step = INITIAL_STEP
     iterations = 0
     converged = residual < config.tolerance
+    stop_reason = "budget"
     while not converged and iterations < config.max_iterations:
-        grad = residual_gradient(d, psi)
-        direction = grad[:d] + 1j * grad[d:]
-        if np.linalg.norm(direction) < 1e-18:
+        direction = _descent(d, psi, m, devs)
+        if np.vdot(direction, direction).real < 1e-36:  # |direction| < 1e-18
+            stop_reason = "zero_gradient"
             break
         alpha = step
         improved = False
         while alpha > 1e-18:
             candidate = _normalize(psi - alpha * direction)
-            value = sic_residual(d, candidate)
+            value, candidate_m, candidate_devs = _evaluate(d, candidate)
             if value < residual:
-                psi, residual = candidate, value
+                psi, residual, m, devs = candidate, value, candidate_m, candidate_devs
                 # let the accepted step grow again so long plateaus
                 # do not pin the line search at a tiny scale
                 step = alpha * 2
@@ -192,9 +211,13 @@ def _single_run(config: SearchConfig, psi0: np.ndarray,
             alpha *= SHRINK_FACTOR
         iterations += 1
         if not improved:
+            stop_reason = "stalled"
             break
         converged = residual < config.tolerance
-    return RestartResult(restart_index, residual, iterations, converged, psi)
+    if converged:
+        stop_reason = "converged"
+    return RestartResult(restart_index, residual, iterations, converged, psi,
+                         stop_reason)
 
 
 def search(config: SearchConfig,
@@ -203,13 +226,21 @@ def search(config: SearchConfig,
 
     A warm start vector, when given, is used by restart 0; the
     remaining restarts draw their starting states from per-restart
-    seeded streams default_rng([rng_seed, restart_index]).
+    seeded streams default_rng([rng_seed, restart_index]). A warm start
+    must hold d finite entries.
     """
     d = config.dimension
+    if initial is not None:
+        initial = np.asarray(initial, dtype=complex)
+        if initial.size != d:
+            raise ValueError(f"initial state must have {d} entries, "
+                             f"got {initial.size}")
+        if not np.isfinite(initial).all():
+            raise ValueError("initial state must be finite")
     results: list[RestartResult] = []
     for k in range(config.restarts):
         if k == 0 and initial is not None:
-            psi0 = np.asarray(initial, dtype=complex).reshape(d)
+            psi0 = initial
         else:
             rng = np.random.default_rng([config.rng_seed, k])
             psi0 = _normalize(rng.normal(size=d) + 1j * rng.normal(size=d))

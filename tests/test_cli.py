@@ -214,6 +214,7 @@ class TestSearch:
         (report,) = reports
         assert report["details"]["converged"] is True
         assert float(report["details"]["residual"]) < 1e-10
+        assert report["details"]["stop_reason"] == "converged"
 
     def test_fourth_moment_reported(self, capsys):
         _, reports = run_json(capsys, "search", "--dim", "2")
@@ -268,6 +269,7 @@ class TestSearch:
         )
         assert code == 1
         assert reports[0]["status"] == "fail"
+        assert reports[0]["details"]["stop_reason"] == "budget"
 
 
 class TestDiscriminant:
