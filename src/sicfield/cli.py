@@ -339,7 +339,7 @@ def _apply_config(parser: argparse.ArgumentParser,
     try:
         with open(args.config) as handle:
             overrides = json.load(handle)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:  # bad JSON or bad UTF-8
         parser.error(f"cannot read config {args.config}: {err}")
     if not isinstance(overrides, dict):
         parser.error("config must be a JSON object")

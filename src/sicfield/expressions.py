@@ -49,7 +49,7 @@ MAX_VALUE_BITS = 8192
 
 
 class ExpressionError(ValueError):
-    """Parse failure, carrying the byte offset of the problem."""
+    """Parse failure, carrying the character (not byte) offset of the problem."""
 
     def __init__(self, message: str, offset: int) -> None:
         super().__init__(f"{message} at offset {offset}")

@@ -18,9 +18,10 @@ compose right to left: (sigma * phi)(e) = sigma(phi(e)).
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Collection, Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence
 
 from .tower import (
     _R_INVERSE,
@@ -59,24 +60,27 @@ def standard_generators() -> dict[str, Automorphism]:
     }
 
 
+def _closure(identity, generators: Sequence, product: Callable) -> list:
+    """The identity and every product(g, x) of a generator g with an
+    element x already found, in BFS order, so the generators come first.
+    In a finite group that is the subgroup the generators generate."""
+    elements = [identity]
+    seen = {identity}
+    # the list is the BFS queue: it grows while it is walked
+    for current in elements:
+        for g in generators:
+            p = product(g, current)
+            if p not in seen:
+                seen.add(p)
+                elements.append(p)
+    return elements
+
+
 def generate_group(generators: Sequence[Automorphism]) -> list[Automorphism]:
     """Closure of the generators under composition, BFS order. Every
     Automorphism is checked when it is built, so the closure is a
     subgroup of the 16 automorphisms and always ends."""
-    elements = [Automorphism.identity()]
-    seen = set(elements)
-    for g in generators:
-        if g not in seen:
-            seen.add(g)
-            elements.append(g)
-    # the list is the BFS queue: it grows while it is walked
-    for current in elements:
-        for g in generators:
-            product = g * current
-            if product not in seen:
-                seen.add(product)
-                elements.append(product)
-    return elements
+    return _closure(Automorphism.identity(), generators, operator.mul)
 
 
 def multiplication_table(group: Sequence[Automorphism]) -> list[list[int]]:
@@ -129,20 +133,6 @@ def is_normal(group: Sequence[Automorphism],
     )
 
 
-def _closure_indices(table: list[list[int]], identity: int,
-                     gens: Sequence[int]) -> set[int]:
-    elements = {identity, *gens}
-    frontier = list(elements)
-    while frontier:
-        a = frontier.pop()
-        for b in list(elements):
-            for prod in (table[a][b], table[b][a]):
-                if prod not in elements:
-                    elements.add(prod)
-                    frontier.append(prod)
-    return elements
-
-
 @dataclass(frozen=True)
 class StructureCertificate:
     """Evidence that a group of order 16 is Z2 x D8.
@@ -180,7 +170,7 @@ def certify_structure(group: Sequence[Automorphism]) -> StructureCertificate:
     for z in central:
         for a in range(order):
             for b in range(a):
-                sub = _closure_indices(table, identity, [a, b])
+                sub = _closure(identity, [a, b], lambda x, y: table[x][y])
                 if len(sub) != 8 or z in sub:
                     continue
                 if _commute(table, sub, sub):

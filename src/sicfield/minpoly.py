@@ -4,10 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
-from .polynomials import RatPoly, palindromic_lift
+from .polynomials import RatPoly, _primitive, palindromic_lift
 from .tower import FieldElement, _power_dependence
 
 __all__ = [
@@ -49,8 +48,7 @@ def minimal_polynomial(a: FieldElement) -> MinimalPolynomial:
     powers of a, which FieldElement.inverse also reads, with its content
     divided out and its lead made positive. Its degree divides 16."""
     coeffs, _ = _power_dependence(a)
-    content = gcd(*coeffs) if coeffs[-1] > 0 else -gcd(*coeffs)
-    primitive = RatPoly(c // content for c in coeffs)
+    primitive = RatPoly(_primitive(coeffs))
     return MinimalPolynomial(primitive / primitive.coeffs[-1], primitive,
                              len(coeffs) - 1)
 

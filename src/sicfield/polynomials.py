@@ -3,10 +3,44 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Union
+from math import gcd, lcm
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
+
+
+def _integers_over_lcm(values: Iterable[Scalar]) -> tuple[list[int], int]:
+    """Integers n_k and the lcm D of the denominators, with values[k] = n_k / D."""
+    qs = [Fraction(v) for v in values]
+    den = lcm(*(q.denominator for q in qs))
+    return [q.numerator * (den // q.denominator) for q in qs], den
+
+
+def _primitive(ints: Sequence[int]) -> list[int]:
+    """Integers with a nonzero last entry, divided by their content and
+    signed so that entry is positive."""
+    content = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
+    return [n // content for n in ints]
+
+
+def _horner(coeffs: Sequence, x):
+    """sum coeffs[k] x^k by Horner's rule; coeffs is not empty."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + c
+    return acc
+
+
+def _power(base, n: int, one):
+    """base^n for n >= 0 by square-and-multiply, skipping the last squaring."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
 
 
 class RatPoly:
@@ -127,14 +161,7 @@ class RatPoly:
     def __pow__(self, n: int) -> RatPoly:
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = RatPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, RatPoly.one())
 
     def __divmod__(self, divisor: RatPoly) -> tuple[RatPoly, RatPoly]:
         if divisor.is_zero():
@@ -163,10 +190,7 @@ class RatPoly:
             if isinstance(x, (int, Fraction)):
                 return Fraction(0)
             return x * 0
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
-        return acc
+        return _horner(self.coeffs, x)
 
     def monic(self) -> RatPoly:
         if self.is_zero():
@@ -177,16 +201,7 @@ class RatPoly:
         """Integer-coefficient multiple with content 1 and positive lead."""
         if self.is_zero():
             return self
-        denom = 1
-        for c in self.coeffs:
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        ints = [int(c * denom) for c in self.coeffs]
-        content = 0
-        for n in ints:
-            content = gcd(content, n)
-        if ints[-1] < 0:
-            content = -content
-        return RatPoly(n // content for n in ints)
+        return RatPoly(_primitive(_integers_over_lcm(self.coeffs)[0]))
 
     def has_integer_coefficients(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)

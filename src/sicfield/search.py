@@ -93,9 +93,10 @@ class SearchResult:
     restarts: tuple[RestartResult, ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _tables(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The index (k + i) mod d at [i, k], and omega^(jk) at [k, j]."""
+    """The index (k + i) mod d at [i, k], and omega^(jk) at [k, j]; only
+    the dimension in use is kept, as the pair takes 24 d^2 bytes."""
     r = np.arange(d)
     shift = np.add.outer(r, r) % d
     dft = np.exp(2j * np.pi / d * (np.outer(r, r) % d))

@@ -39,7 +39,7 @@ from typing import Iterable, Sequence, Union
 
 from ._lazy import mpmath
 from .linalg import first_dependence
-from .polynomials import RatPoly
+from .polynomials import RatPoly, _horner, _integers_over_lcm, _power
 
 Scalar = Union[int, Fraction]
 
@@ -143,11 +143,10 @@ class FieldElement:
     den: int
 
     def __init__(self, coords: Iterable[Scalar]) -> None:
-        cs = [Fraction(c) for c in coords]
-        if len(cs) != 16:
+        nums, den = _integers_over_lcm(coords)
+        if len(nums) != 16:
             raise ValueError("a field element has exactly 16 coordinates")
-        den = lcm(*(c.denominator for c in cs))
-        _SET_NUMS(self, tuple(c.numerator * (den // c.denominator) for c in cs))
+        _SET_NUMS(self, tuple(nums))
         _SET_DEN(self, den)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -274,15 +273,7 @@ class FieldElement:
             raise TypeError("exponent must be an integer")
         if n < 0:
             return self.inverse() ** (-n)
-        result = _ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, _ONE)
 
     def inverse(self) -> FieldElement:
         """Multiplicative inverse from the first dependence
@@ -620,13 +611,6 @@ _ROUNDING_FACTOR = 64
 # below this a coordinate may be subnormal, and its rounding no longer
 # relative to its size
 _SMALLEST_NORMAL = 2.0**-1000
-
-
-def _horner(coeffs: Sequence, z):
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * z + c
-    return acc
 
 
 def _certified(value, bound, relative_error) -> bool:

@@ -6,7 +6,13 @@ and `residual_gradient`, so the moments table of each accepted point is
 built twice, once in the line search and again for the next gradient.
 `sicfield.search._single_run` carries that table instead, and must give
 the same result bit for bit.
+
+`gauss_jordan` is the textbook reduced row echelon form over Fraction,
+row by row, for `sicfield.linalg`, which reads its reduced form off the
+dependencies among the columns instead.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -45,3 +51,23 @@ def descent_run(d, psi0, max_iterations, tolerance):
             break
         converged = residual < tolerance
     return residual, iterations, converged, psi
+
+
+def gauss_jordan(rows):
+    """(reduced, pivots): the RREF of a rational matrix and its pivot
+    columns, pivoting on the first nonzero entry in column order."""
+    m = [[Fraction(c) for c in row] for row in rows]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        k = next((k for k in range(r, len(m)) if m[k][c] != 0), None)
+        if k is None:
+            continue
+        m[r], m[k] = m[k], m[r]
+        m[r] = [a / m[r][c] for a in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                x = m[i][c]
+                m[i] = [a - x * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots

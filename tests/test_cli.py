@@ -326,6 +326,21 @@ class TestConfig:
         assert code == 0
         assert reports[0]["details"]["value"] == 12
 
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"{", b""])
+    def test_unreadable_config_exits_2(self, capsys, tmp_path, content):
+        # \xff\xfe is not UTF-8, and its decoding error is a ValueError
+        # like JSONDecodeError
+        config = tmp_path / "bad.json"
+        config.write_bytes(content)
+        code, out, err = run_cli(capsys, "discriminant", "--dim", "4",
+                                 "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"sicfield: error: cannot read config {config}: ")
+
     def test_unknown_key_rejected(self, capsys, tmp_path):
         config = tmp_path / "options.json"
         config.write_text(json.dumps({"bogus": 1}))

@@ -83,6 +83,16 @@ class TestParseErrors:
             parse_expression("u + @")
         assert err.value.offset == 4
 
+    @pytest.mark.parametrize("text, offset", [
+        ("\xa0?", 1),  # no-break space, 2 bytes in UTF-8
+        ("\u0663+?", 2),  # Arabic-Indic digit three, 2 bytes in UTF-8
+    ])
+    def test_offset_counts_characters_not_bytes(self, text, offset):
+        with pytest.raises(ExpressionError) as err:
+            parse_expression(text)
+        assert err.value.offset == offset
+        assert len(text[:offset].encode()) == offset + 1
+
     def test_unbalanced_parens(self):
         with pytest.raises(ExpressionError):
             parse_expression("(u + 1")

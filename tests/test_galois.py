@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from conftest import field_elements
 from sicfield.galois import (
     Automorphism,
+    _closure,
     action_table,
     center,
     certify_structure,
@@ -172,6 +173,18 @@ class TestGroupStructure:
         assert not is_abelian(sub)
         assert sum(1 for h in sub if element_order(h) == 2) == 5
         assert all(h != z for h in sub)
+
+    def test_table_closure_is_the_generated_subgroup(self):
+        # certify_structure closes pairs of indices under the table; each
+        # closure must be the subgroup generate_group builds, in its order
+        table = multiplication_table(GROUP)
+        index = {g: k for k, g in enumerate(GROUP)}
+        identity = index[Automorphism.identity()]
+        for a in range(len(GROUP)):
+            for b in range(len(GROUP)):
+                closure = _closure(identity, [a, b], lambda x, y: table[x][y])
+                expected = generate_group([GROUP[a], GROUP[b]])
+                assert closure == [index[g] for g in expected]
 
     def test_certificate_rejects_subgroup(self):
         H = generate_group([G1, G2, G3])

@@ -1,17 +1,52 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from sicfield.linalg import LinearSystemError, bareiss, first_dependence, nullspace, rref, solve
+from reference import gauss_jordan
+from sicfield.linalg import LinearSystemError, first_dependence, nullspace, rref, solve
+
+INTEGERS = st.integers(min_value=-5, max_value=5)
+RATIONALS = st.one_of(st.just(0), INTEGERS,
+                      st.fractions(min_value=-5, max_value=5, max_denominator=7))
 
 
 def int_matrix(rows: int, cols: int):
-    entry = st.integers(min_value=-5, max_value=5)
     return st.lists(
-        st.lists(entry, min_size=cols, max_size=cols),
+        st.lists(INTEGERS, min_size=cols, max_size=cols),
         min_size=rows, max_size=rows,
     )
+
+
+@st.composite
+def matrices(draw, entry=RATIONALS, max_rows=5, max_cols=6):
+    """Matrices of every shape up to max_rows x max_cols, 0 x n included
+    (written []), with some rows and columns set to zero."""
+    nrows = draw(st.integers(0, max_rows))
+    ncols = draw(st.integers(0, max_cols))
+    m = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                      min_size=nrows, max_size=nrows))
+    zero_rows = draw(st.sets(st.integers(0, nrows - 1))) if nrows else set()
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1))) if ncols else set()
+    return [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+            for i, row in enumerate(m)]
+
+
+def reference_nullspace(m):
+    reduced, pivots = gauss_jordan(m)
+    ncols = len(m[0]) if m else 0
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for k, col in enumerate(pivots):
+            v[col] = -reduced[k][f]
+        basis.append(v)
+    return basis
+
+
+EDGE_SHAPES = ([], [[]], [[0, 0, 0]], [[0], [0]], [[Fraction(1, 2), 0, 3]],
+               [[Fraction(-2, 3)], [0], [5]], [[0, 0], [0, 1]])
 
 
 def test_solve_identity():
@@ -80,28 +115,71 @@ def test_solve_recovers_constructed_rhs(m, x):
 def test_nullspace_vectors_annihilate(m):
     for v in nullspace(m):
         assert all(sum(row[k] * v[k] for k in range(5)) == 0 for row in m)
-    assert len(nullspace(m)) == 5 - len(rref(m)[1])
+    assert len(nullspace(m)) == 5 - len(gauss_jordan(m)[1])
 
 
-@given(int_matrix(4, 6))
-def test_bareiss_is_a_multiple_of_the_rref(m):
-    reduced, pivots, divisor = bareiss(m)
-    expected, expected_pivots = rref(m)
-    assert pivots == expected_pivots
-    assert [[Fraction(c, divisor) for c in row] for row in reduced] == expected
-    assert all(reduced[k][col] == divisor for k, col in enumerate(pivots))
+def with_edge_shapes(test):
+    for m in EDGE_SHAPES:
+        test = example(m)(test)
+    return test
 
 
-@given(int_matrix(5, 4))
+@given(matrices())
+@with_edge_shapes
+def test_rref_matches_gauss_jordan(m):
+    assert rref(m) == gauss_jordan(m)
+
+
+@given(matrices())
+@with_edge_shapes
+def test_nullspace_matches_gauss_jordan(m):
+    assert nullspace(m) == reference_nullspace(m)
+
+
+@st.composite
+def systems(draw):
+    """(A, b) for a matrix A of any shape: half consistent by construction."""
+    m = draw(matrices())
+    ncols = len(m[0]) if m else 0
+    if draw(st.booleans()):
+        x = draw(st.lists(RATIONALS, min_size=ncols, max_size=ncols))
+        return m, [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in m]
+    return m, draw(st.lists(RATIONALS, min_size=len(m), max_size=len(m)))
+
+
+@given(systems())
+@example(([], []))
+@example(([[]], [0]))
+@example(([[]], [1]))
+@example(([[0, 0, 0]], [2]))
+@example(([[0], [Fraction(1, 2)]], [0, 3]))
+@example(([[0], [0]], [0, 1]))
+def test_solve_matches_gauss_jordan(system):
+    m, rhs = system
+    ncols = len(m[0]) if m else 0
+    reduced, pivots = gauss_jordan([list(row) + [b] for row, b in zip(m, rhs)])
+    if ncols in pivots:
+        with pytest.raises(LinearSystemError, match="inconsistent"):
+            solve(m, rhs)
+        return
+    expected = [Fraction(0)] * ncols
+    for k, col in enumerate(pivots):
+        expected[col] = reduced[k][ncols]
+    assert solve(m, rhs) == expected
+
+
+@given(matrices(entry=INTEGERS, max_rows=6, max_cols=4))
+@with_edge_shapes
 def test_first_dependence_is_the_first(vectors):
     c = first_dependence(vectors)
     if c is None:
-        assert len(rref(vectors)[1]) == 5
+        assert len(gauss_jordan(vectors)[1]) == len(vectors)
         return
     n = len(c) - 1
     assert c[n] != 0
-    assert all(sum(c[k] * vectors[k][i] for k in range(n + 1)) == 0 for i in range(4))
-    assert len(rref(vectors[:n])[1]) == n  # the earlier vectors are independent
+    width = len(vectors[0])
+    assert all(sum(c[k] * vectors[k][i] for k in range(n + 1)) == 0 for i in range(width))
+    assert len(gauss_jordan(vectors[:n])[1]) == n  # the earlier vectors are independent
 
 
 def test_first_dependence_stops_drawing():

@@ -68,6 +68,14 @@ class TestKernel:
                 want = np.sqrt(d + 1) * (psi.conj() @ displacement(d, i, j) @ psi)
                 assert abs(phases[i, j] - want) < 1e-12
 
+    def test_only_the_dimension_in_use_keeps_its_tables(self):
+        search_module._tables.cache_clear()
+        for d in (3, 7, 4, 16, 4):
+            sic_residual(d, random_unit(d, d))
+            assert search_module._tables.cache_info().currsize == 1
+        residual_gradient(9, random_unit(9, 9))
+        assert search_module._tables.cache_info().currsize == 1
+
     def test_memory_stays_quadratic_in_d(self):
         # the d^2 dense displacement matrices at d = 64 alone take 268 MB
         psi = random_unit(64, 5)
