@@ -212,6 +212,7 @@ def cmd_search(args: argparse.Namespace) -> list[dict]:
         "dimension": result.dimension,
         "converged": result.converged,
         "residual": render_number(result.residual),
+        "sic_defect": render_number(result.sic_defect),
         "restarts_run": len(result.restarts),
         "best_restart": result.restart_index,
         "iterations": result.iterations,

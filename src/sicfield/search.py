@@ -1,19 +1,29 @@
-"""Numerical search for SIC fiducials in small dimensions.
+"""Numerical search for SIC fiducials.
 
 The residual of a unit vector psi is
 
     R(psi) = sum over (i, j) != (0, 0) of (|<psi|D(i,j)|psi>|^2 - 1/(d+1))^2,
 
-which vanishes exactly on fiducials. The optimizer is projected
-gradient descent on the unit sphere with backtracking line search and
-seeded restarts; every restart draws its own independent random stream,
-so any single restart can be reproduced in isolation. The descent loop
-holds the current point's moments table: each line-search evaluation
-builds one table, and the gradient of the accepted point reuses it.
+which vanishes exactly on fiducials. Zauner's conjecture, which every
+known Weyl-Heisenberg SIC bears out, puts a fiducial in an eigenspace
+of Zauner's order-3 Clifford unitary; each restart searches the largest
+one, of dimension floor(d/3) + 1, over the coefficients of an
+orthonormal basis built once per d. A warm start searches all of C^d.
+
+The optimizer is L-BFGS on the unit sphere of coefficients: the
+two-loop recursion over the last MEMORY steps, then Armijo backtracking
+from the unit step, normalizing every trial point. A restart stalls
+when MAX_HALVINGS halvings find no Armijo decrease, or when an accepted
+step lowers the residual by less than MIN_DECREASE of itself, so a
+restart caught in a local minimum ends early. Every restart draws its
+own random stream, so any single restart can be reproduced in
+isolation. Each point costs one moments table: the accepted point's
+table also gives its gradient.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -34,9 +44,13 @@ __all__ = [
     "extract_phases",
 ]
 
-#: the line search's first step in each restart, and its shrink per rejection
-INITIAL_STEP = 1.0
-SHRINK_FACTOR = 0.5
+#: L-BFGS: pairs kept, halvings of the unit step a line search may try,
+#: Armijo's sufficient-decrease fraction, and the relative decrease below
+#: which an accepted step ends the restart as stalled
+MEMORY = 3
+MAX_HALVINGS = 20
+ARMIJO = 1e-4
+MIN_DECREASE = 1e-9
 #: how far extract_phases lets a phase modulus miss 1
 PHASE_TOLERANCE = 1e-6
 #: largest dimension a search accepts: the d x d tables and products a
@@ -86,6 +100,8 @@ class SearchResult:
     dimension: int
     converged: bool
     residual: float
+    #: max over (i, j) != (0, 0) of | |<psi|D(i,j)|psi>|^2 - 1/(d+1) |
+    sic_defect: float
     fiducial: np.ndarray
     restart_index: int
     iterations: int
@@ -176,6 +192,39 @@ def known_fiducial(d: int) -> np.ndarray:
     raise ValueError(f"no reference fiducial stored for dimension {d}")
 
 
+def _zauner_unitary(d: int) -> np.ndarray:
+    """Zauner's order-3 Clifford unitary, U[r, s] = e^(i pi (d-1)/12) / sqrt(d)
+    * tau^(2rs + (d+1)s^2); U^3 is a multiple of the identity."""
+    r = np.arange(d)
+    exponents = (2 * np.outer(r, r) + (d + 1) * r ** 2) % (2 * d)  # tau^(2d) = 1
+    phase = cmath.exp(1j * math.pi * (d - 1) / 12) / math.sqrt(d)
+    return phase * tau_phase(d) ** exponents
+
+
+@lru_cache(maxsize=16)
+def _zauner_basis(d: int) -> np.ndarray:
+    """Orthonormal columns spanning the largest eigenspace of Zauner's
+    unitary, of dimension floor(d/3) + 1. At d = 2 mod 3 two eigenspaces
+    have that dimension; of the eigenvalues c^(1/3) e^(2 pi i k/3),
+    k = 0, 1, 2, from the principal cube root of U^3 = c I, the first
+    wins. The last 16 dimensions searched keep their basis, which costs
+    an eigh of a d x d matrix to build."""
+    u = _zauner_unitary(d)
+    u2 = u @ u
+    cube = complex(u2[0] @ u[:, 0])  # (U^3)[0, 0]
+    trace_u, trace_u2 = complex(np.trace(u)), complex(np.trace(u2))
+    # U's eigenvalues are the cube roots l of `cube`; with w = conj(l), the
+    # projector onto l's eigenspace is (I + w U + w^2 U^2) / 3, and its
+    # trace is the eigenspace's dimension
+    roots = [(cube ** (1 / 3) * cmath.exp(2j * math.pi * k / 3)).conjugate()
+             for k in range(3)]
+    w = max(roots, key=lambda w: round((d + w * trace_u + w * w * trace_u2).real / 3))
+    values, vectors = np.linalg.eigh((np.eye(d) + w * u + w * w * u2) / 3)
+    basis = vectors[:, values > 0.5]
+    basis.setflags(write=False)
+    return basis
+
+
 def _normalize(psi: np.ndarray) -> np.ndarray:
     norm2 = np.vdot(psi, psi).real
     if norm2 == 0:
@@ -183,38 +232,85 @@ def _normalize(psi: np.ndarray) -> np.ndarray:
     return psi / math.sqrt(norm2)
 
 
-def _single_run(config: SearchConfig, psi0: np.ndarray,
-                restart_index: int) -> RestartResult:
+def _tangent_gradient(d: int, basis_h: np.ndarray, x: np.ndarray, psi: np.ndarray,
+                      m: np.ndarray, devs: np.ndarray) -> np.ndarray:
+    """The residual's gradient over the coefficients x of psi = basis @ x,
+    less its radial part, from the moments _evaluate gave for psi."""
+    g = (basis_h @ _descent(d, psi, m, devs)).view(float)
+    return g - g.dot(x) * x
+
+
+def _single_run(config: SearchConfig, psi0: np.ndarray, restart_index: int,
+                basis: np.ndarray) -> RestartResult:
+    """One L-BFGS restart from psi0 over the span of basis's orthonormal
+    columns. The coefficients are real vectors, the real and imaginary
+    part of each complex coefficient side by side, so every inner product
+    of the recursion is one real dot product."""
     d = config.dimension
-    psi = _normalize(np.asarray(psi0, dtype=complex).reshape(d))
+    basis_h = basis.conj().T
+    x = _normalize(basis_h @ np.asarray(psi0, dtype=complex).reshape(d)).view(float)
+    psi = basis @ x.view(complex)
     residual, m, devs = _evaluate(d, psi)
-    step = INITIAL_STEP
     iterations = 0
     converged = residual < config.tolerance
     stop_reason = "budget"
+    gradient = None
+    # (s, y, 1 / s.y) of the last MEMORY accepted steps, oldest first, and
+    # the newest pair's s.y / y.y, which scales the initial inverse Hessian
+    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
+    scale = 1.0
     while not converged and iterations < config.max_iterations:
-        direction = _descent(d, psi, m, devs)
-        if np.vdot(direction, direction).real < 1e-36:  # |direction| < 1e-18
+        if gradient is None:
+            gradient = _tangent_gradient(d, basis_h, x, psi, m, devs)
+        if gradient.dot(gradient) < 1e-36:  # |gradient| < 1e-18
             stop_reason = "zero_gradient"
             break
-        alpha = step
-        improved = False
-        while alpha > 1e-18:
-            candidate = _normalize(psi - alpha * direction)
-            value, candidate_m, candidate_devs = _evaluate(d, candidate)
-            if value < residual:
-                psi, residual, m, devs = candidate, value, candidate_m, candidate_devs
-                # let the accepted step grow again so long plateaus
-                # do not pin the line search at a tiny scale
-                step = alpha * 2
-                improved = True
-                break
-            alpha *= SHRINK_FACTOR
+        # the two-loop recursion: q = H gradient
+        q = gradient
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            a = rho * s.dot(q)
+            q = q - a * y
+            alphas.append(a)
+        q = scale * q
+        for (s, y, rho), a in zip(pairs, reversed(alphas)):
+            q = q + (a - rho * y.dot(q)) * s
+        slope = -gradient.dot(q)
+        if slope >= 0:  # rounding spoiled H: fall back on steepest descent
+            pairs.clear()
+            scale = 1.0
+            q = gradient
+            slope = -gradient.dot(gradient)
         iterations += 1
-        if not improved:
+        alpha, step = 1.0, q
+        for _ in range(MAX_HALVINGS + 1):
+            trial = _normalize(x - step)
+            trial_psi = basis @ trial.view(complex)
+            value, trial_m, trial_devs = _evaluate(d, trial_psi)
+            if value <= residual + ARMIJO * alpha * slope:
+                break
+            alpha *= 0.5
+            step = alpha * q
+        else:
             stop_reason = "stalled"
             break
+        new_gradient = _tangent_gradient(d, basis_h, trial, trial_psi, trial_m,
+                                         trial_devs)
+        s = trial - x
+        y = new_gradient - gradient
+        sy = s.dot(y)
+        if sy > 0:  # keep H positive definite
+            pairs.append((s, y, 1.0 / sy))
+            scale = sy / y.dot(y)
+            if len(pairs) > MEMORY:
+                del pairs[0]
+        small = residual - value < MIN_DECREASE * residual
+        x, psi, residual, m, devs, gradient = (trial, trial_psi, value, trial_m,
+                                              trial_devs, new_gradient)
         converged = residual < config.tolerance
+        if small and not converged:
+            stop_reason = "stalled"
+            break
     if converged:
         stop_reason = "converged"
     return RestartResult(restart_index, residual, iterations, converged, psi,
@@ -225,10 +321,12 @@ def search(config: SearchConfig,
            initial: np.ndarray | None = None) -> SearchResult:
     """Run restarts until one converges or all have run; the best wins.
 
-    A warm start vector, when given, is used by restart 0; the
-    remaining restarts draw their starting states from per-restart
-    seeded streams default_rng([rng_seed, restart_index]). A warm start
-    must hold d finite entries.
+    A warm start vector, when given, is used by restart 0, which
+    searches all of C^d (a known fiducial need not lie in the Zauner
+    eigenspace). The remaining restarts draw their starting states from
+    per-restart seeded streams default_rng([rng_seed, restart_index])
+    and search the Zauner eigenspace from the start's projection onto
+    it. A warm start must hold d finite entries.
     """
     d = config.dimension
     if initial is not None:
@@ -241,19 +339,22 @@ def search(config: SearchConfig,
     results: list[RestartResult] = []
     for k in range(config.restarts):
         if k == 0 and initial is not None:
-            psi0 = initial
+            psi0, basis = initial, np.eye(d)
         else:
             rng = np.random.default_rng([config.rng_seed, k])
-            psi0 = _normalize(rng.normal(size=d) + 1j * rng.normal(size=d))
-        result = _single_run(config, psi0, k)
+            psi0 = rng.normal(size=d) + 1j * rng.normal(size=d)
+            basis = _zauner_basis(d)
+        result = _single_run(config, psi0, k, basis)
         results.append(result)
         if result.converged:
             break
     best = min(results, key=lambda r: r.residual)
+    _, _, devs = _evaluate(d, best.fiducial)
     return SearchResult(
         dimension=d,
         converged=best.converged,
         residual=best.residual,
+        sic_defect=float(np.abs(devs).max()),
         fiducial=best.fiducial,
         restart_index=best.restart_index,
         iterations=best.iterations,

@@ -1,11 +1,14 @@
 """Reference implementations that tests compare the library against.
 
-`descent_run` is one restart of the fiducial search written the plain
-way: every residual and gradient comes from the public `sic_residual`
-and `residual_gradient`, so the moments table of each accepted point is
-built twice, once in the line search and again for the next gradient.
-`sicfield.search._single_run` carries that table instead, and must give
-the same result bit for bit.
+`lbfgs_run` is one restart of the fiducial search written the plain
+way: the two-loop recursion over a list of the last three steps, every
+residual and gradient from the public `sic_residual` and
+`residual_gradient`, and the basis applied explicitly to every point
+and gradient, so the moments table of each accepted point is built
+twice. `sicfield.search._single_run` carries that table instead. The
+coefficients are real vectors, the real and imaginary part of each
+complex coefficient side by side, as in `_single_run`, so the two must
+agree bit for bit.
 
 `gauss_jordan` is the textbook reduced row echelon form over Fraction,
 row by row, for `sicfield.linalg`, which reads its reduced form off the
@@ -16,41 +19,80 @@ from fractions import Fraction
 
 import numpy as np
 
-from sicfield.search import INITIAL_STEP, SHRINK_FACTOR, residual_gradient, sic_residual
+from sicfield.search import (
+    ARMIJO, MAX_HALVINGS, MEMORY, MIN_DECREASE, residual_gradient, sic_residual,
+)
 
 
 def normalize(psi):
     return psi / np.sqrt(np.vdot(psi, psi).real)
 
 
-def descent_run(d, psi0, max_iterations, tolerance):
-    """(residual, iterations, converged, fiducial) of one restart from psi0."""
-    psi = normalize(np.asarray(psi0, dtype=complex).reshape(d))
-    residual = sic_residual(d, psi)
-    step = INITIAL_STEP
+def lbfgs_run(d, psi0, basis, max_iterations, tolerance):
+    """(residual, iterations, converged, stop_reason, fiducial) of one
+    restart from psi0 over the span of basis's orthonormal columns."""
+
+    def state(x):
+        return basis @ x.view(complex)
+
+    def gradient(x):
+        # the gradient over the coefficients, less its radial part
+        grad = residual_gradient(d, state(x))
+        g = (basis.conj().T @ (grad[:d] + 1j * grad[d:])).view(float)
+        return g - g.dot(x) * x
+
+    x = normalize(basis.conj().T @ np.asarray(psi0, dtype=complex).reshape(d)).view(float)
+    residual = sic_residual(d, state(x))
+    steps = []  # (s, y) of the last MEMORY accepted steps, oldest first
     iterations = 0
-    converged = residual < tolerance
-    while not converged and iterations < max_iterations:
-        grad = residual_gradient(d, psi)
-        direction = grad[:d] + 1j * grad[d:]
-        if np.linalg.norm(direction) < 1e-18:
+    stop_reason = "budget"
+    while residual >= tolerance and iterations < max_iterations:
+        g = gradient(x)
+        if g.dot(g) < 1e-36:
+            stop_reason = "zero_gradient"
             break
-        alpha = step
-        improved = False
-        while alpha > 1e-18:
-            candidate = normalize(psi - alpha * direction)
-            value = sic_residual(d, candidate)
-            if value < residual:
-                psi, residual = candidate, value
-                step = alpha * 2
-                improved = True
-                break
-            alpha *= SHRINK_FACTOR
+        # two-loop recursion: q = H g for the L-BFGS inverse Hessian H
+        q = g
+        alphas = []
+        for s, y in reversed(steps):
+            alphas.append(1.0 / s.dot(y) * s.dot(q))
+            q = q - alphas[-1] * y
+        gamma = 1.0
+        if steps:
+            s, y = steps[-1]
+            gamma = s.dot(y) / y.dot(y)
+        q = gamma * q
+        for (s, y), a in zip(steps, reversed(alphas)):
+            q = q + (a - 1.0 / s.dot(y) * y.dot(q)) * s
+        slope = -g.dot(q)
+        if slope >= 0:
+            steps = []
+            q = g
+            slope = -g.dot(g)
+        # Armijo backtracking from the unit step
         iterations += 1
-        if not improved:
+        alpha = 1.0
+        for _ in range(MAX_HALVINGS + 1):
+            trial = normalize(x - alpha * q)
+            value = sic_residual(d, state(trial))
+            if value <= residual + ARMIJO * alpha * slope:
+                break
+            alpha *= 0.5
+        else:
+            stop_reason = "stalled"
             break
-        converged = residual < tolerance
-    return residual, iterations, converged, psi
+        s, y = trial - x, gradient(trial) - g
+        if s.dot(y) > 0:
+            steps = (steps + [(s, y)])[-MEMORY:]
+        small = residual - value < MIN_DECREASE * residual
+        x, residual = trial, value
+        if small and residual >= tolerance:
+            stop_reason = "stalled"
+            break
+    converged = residual < tolerance
+    if converged:
+        stop_reason = "converged"
+    return residual, iterations, converged, stop_reason, state(x)
 
 
 def gauss_jordan(rows):

@@ -214,6 +214,7 @@ class TestSearch:
         (report,) = reports
         assert report["details"]["converged"] is True
         assert float(report["details"]["residual"]) < 1e-10
+        assert float(report["details"]["sic_defect"]) < 1e-4
         assert report["details"]["stop_reason"] == "converged"
 
     def test_fourth_moment_reported(self, capsys):

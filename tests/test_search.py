@@ -1,15 +1,18 @@
 import dataclasses
 import importlib
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from reference import descent_run
+from reference import lbfgs_run
 from sicfield.sic4 import canonical_phase_matrix, embedded_projector
 from sicfield.search import (
     SearchConfig,
     _single_run,
+    _zauner_basis,
+    _zauner_unitary,
     extract_phases,
     fourth_moment,
     known_fiducial,
@@ -195,10 +198,11 @@ class TestSearch:
         assert abs(np.linalg.norm(result.fiducial) - 1) < 1e-12
 
     def test_reports_best_restart(self):
-        # a budget no restart can meet, so every restart runs
+        # a tolerance no restart can meet, so every restart runs (at d = 2
+        # the Zauner eigenvector is itself a fiducial, residual ~1e-31)
         result = search(SearchConfig(
-            dimension=2, restarts=3, rng_seed=9, max_iterations=10,
-            tolerance=1e-30,
+            dimension=5, restarts=3, rng_seed=9, max_iterations=10,
+            tolerance=1e-300,
         ))
         assert not any(r.converged for r in result.restarts)
         assert len(result.restarts) == 3
@@ -218,10 +222,10 @@ class TestSearch:
     def test_restart_streams_are_independent(self):
         # restart k is reproducible on its own: running with one restart
         # and seed list [seed, 0] has nothing to do with restart count
-        one = search(SearchConfig(dimension=2, restarts=1, rng_seed=42,
-                                  max_iterations=10, tolerance=1e-30))
-        many = search(SearchConfig(dimension=2, restarts=3, rng_seed=42,
-                                   max_iterations=10, tolerance=1e-30))
+        one = search(SearchConfig(dimension=5, restarts=1, rng_seed=42,
+                                  max_iterations=10, tolerance=1e-300))
+        many = search(SearchConfig(dimension=5, restarts=3, rng_seed=42,
+                                   max_iterations=10, tolerance=1e-300))
         assert not any(r.converged for r in one.restarts + many.restarts)
         assert len(many.restarts) == 3
         assert np.array_equal(one.restarts[0].fiducial, many.restarts[0].fiducial)
@@ -244,42 +248,127 @@ class TestSearch:
         assert result.converged
         assert result.residual < 1e-10
 
+    def test_dimension_24_converges_within_a_second(self):
+        # the backtracking descent over all of C^d stalled at d = 20..28
+        start = time.perf_counter()
+        result = search(SearchConfig(dimension=24))
+        assert time.perf_counter() - start < 1.0
+        assert result.converged
+
+    @pytest.mark.parametrize("d", (20, 28))
+    def test_dimensions_in_the_twenties_converge(self, d):
+        assert search(SearchConfig(dimension=d, restarts=40)).converged
+
+    @pytest.mark.parametrize("d, restarts", ((5, 16), (7, 1)))
+    def test_sic_defect_is_the_largest_overlap_deviation(self, d, restarts):
+        result = search(SearchConfig(dimension=d, restarts=restarts, max_iterations=5))
+        psi = result.fiducial
+        want = max(abs(abs(psi.conj() @ displacement(d, i, j) @ psi) ** 2 - 1 / (d + 1))
+                   for i in range(d) for j in range(d) if (i, j) != (0, 0))
+        assert result.sic_defect == pytest.approx(want, rel=1e-9, abs=1e-15)
+
 
 def random_start(d, seed):
     rng = np.random.default_rng([seed, d])
     return rng.normal(size=d) + 1j * rng.normal(size=d)
 
 
-#: (d, start, max_iterations, tolerance): runs to convergence or a stall at
-#: d = 2..12 (the first d = 3 one takes 12871 steps), budget-limited runs,
-#: warm starts near and at known fiducials, and one start off the sphere
+#: (d, start, max_iterations, tolerance, warm): runs to convergence or a
+#: stall at d = 2..12, budget-limited runs, warm starts near and at known
+#: fiducials, and one start off the sphere; a warm start searches all of
+#: C^d, as `search` does, and every other start the Zauner eigenspace
 DESCENT_PROBLEMS = [
-    *[(d, random_start(d, seed), 20_000, 1e-10)
+    *[(d, random_start(d, seed), 20_000, 1e-10, False)
       for d in range(2, 13) for seed in range(3)],
-    *[(d, random_start(d, 7), budget, 1e-10)
+    *[(d, random_start(d, 7), budget, 1e-10, False)
       for d in (3, 5, 8, 11) for budget in (0, 1, 8)],
-    *[(d, known_fiducial(d) + 1e-3 * random_start(d, 9), 20_000, 1e-10)
+    *[(d, known_fiducial(d) + 1e-3 * random_start(d, 9), 20_000, 1e-10, True)
       for d in (2, 3, 4)],
-    (4, known_fiducial(4), 20_000, 1e-300),
-    (6, 3.0 * random_start(6, 11), 20_000, 1e-12),
+    (4, known_fiducial(4), 20_000, 1e-300, True),
+    (6, 3.0 * random_start(6, 11), 20_000, 1e-12, False),
 ]
 
 
 class TestDescentLoop:
-    @pytest.mark.parametrize("d, start, max_iterations, tolerance", DESCENT_PROBLEMS,
+    @pytest.mark.parametrize("d, start, max_iterations, tolerance, warm", DESCENT_PROBLEMS,
                              ids=[f"{k}-d{p[0]}-budget{p[2]}"
                                   for k, p in enumerate(DESCENT_PROBLEMS)])
     def test_matches_the_reference_loop_bitwise(self, d, start, max_iterations,
-                                                tolerance):
+                                                tolerance, warm):
         config = SearchConfig(dimension=d, max_iterations=max_iterations,
                               tolerance=tolerance)
-        got = _single_run(config, start, 0)
-        residual, iterations, converged, fiducial = descent_run(
-            d, start, max_iterations, tolerance)
+        basis = np.eye(d) if warm else _zauner_basis(d)
+        got = _single_run(config, start, 0, basis)
+        residual, iterations, converged, stop_reason, fiducial = lbfgs_run(
+            d, start, basis, max_iterations, tolerance)
         assert got.residual == residual
         assert got.iterations == iterations
         assert got.converged == converged
+        assert got.stop_reason == stop_reason
         assert np.array_equal(got.fiducial, fiducial)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_d3_converges_within_100_iterations(self, seed):
+        # the d = 3 fiducials form a continuous family, on which the
+        # backtracking descent crawled: 12871 iterations from this start
+        got = _single_run(SearchConfig(dimension=3), random_start(3, seed), 0,
+                          _zauner_basis(3))
+        assert got.converged
+        assert got.iterations <= 100
+
+
+def subspace_objective(d, basis):
+    """The residual at basis @ c / |c| and its gradient, over the real and
+    imaginary parts of the coefficients c side by side."""
+    def objective(x):
+        norm = np.linalg.norm(x)
+        unit = x / norm
+        psi = basis @ unit.view(complex)
+        grad = residual_gradient(d, psi)
+        g = (basis.conj().T @ (grad[:d] + 1j * grad[d:])).view(float)
+        return sic_residual(d, psi), (g - g.dot(unit) * unit) / norm
+    return objective
+
+
+class TestScipyCrossCheck:
+    """scipy's L-BFGS-B on the same objective as `_single_run`, from the
+    same starts: d = 3..12, four starts each."""
+
+    @pytest.mark.parametrize("d", range(3, 13))
+    def test_same_minima_from_the_same_starts(self, d):
+        optimize = pytest.importorskip("scipy.optimize")
+        basis = _zauner_basis(d)
+        objective = subspace_objective(d, basis)
+        ours_found = theirs_found = False
+        for seed in range(4):
+            start = random_start(d, seed)
+            ours = _single_run(SearchConfig(dimension=d), start, 0, basis)
+            x0 = (basis.conj().T @ start).view(float)
+            theirs = optimize.minimize(objective, x0 / np.linalg.norm(x0), jac=True,
+                                       method="L-BFGS-B",
+                                       options={"ftol": 1e-15, "gtol": 1e-12})
+            ours_found |= ours.converged
+            theirs_found |= theirs.fun < 1e-10
+            if not ours.converged and theirs.fun >= 1e-10:
+                # neither found a fiducial: both stopped at one local minimum
+                assert ours.residual == pytest.approx(theirs.fun, rel=1e-6)
+        # both find a fiducial in the Zauner eigenspace
+        assert ours_found and theirs_found
+
+
+class TestZaunerBasis:
+    @pytest.mark.parametrize("d", range(2, 41))
+    def test_largest_eigenspace(self, d):
+        u = _zauner_unitary(d)
+        assert np.abs(u @ u.conj().T - np.eye(d)).max() < 1e-12
+        cube = u @ u @ u
+        assert np.abs(cube - cube[0, 0] * np.eye(d)).max() < 1e-12
+        basis = _zauner_basis(d)
+        assert basis.shape == (d, d // 3 + 1)
+        assert np.abs(basis.conj().T @ basis - np.eye(d // 3 + 1)).max() < 1e-12
+        lam = np.vdot(basis[:, 0], u @ basis[:, 0])
+        assert abs(abs(lam) - 1) < 1e-12
+        assert np.abs(u @ basis - lam * basis).max() < 1e-12
 
 
 class TestStopReason:
