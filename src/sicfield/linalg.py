@@ -1,12 +1,12 @@
-"""Exact linear algebra over Q, sized for the degree-16 tower.
+"""Exact linear algebra over Q: rref, solve and nullspace.
 
-One elimination, `_dependencies`, serves every function here: it reduces
-a stream of integer vectors fraction-free and yields each linear
-dependence it meets. first_dependence takes the first one, which the
-tower's inverse and minimal polynomial both read. rref, solve and
-nullspace read the dependencies among a matrix's columns: a column is a
-pivot exactly when it is independent of the columns before it, and the
-dependence of a free column holds its RREF entries.
+Nothing else in the package calls this module; it serves the tests and
+the benchmark tracer. One elimination, `_dependencies`, reduces a stream
+of integer vectors fraction-free and yields each linear dependence it
+meets. rref, solve and nullspace read the dependencies among a matrix's
+columns: a column is a pivot exactly when it is independent of the
+columns before it, and the dependence of a free column holds its RREF
+entries.
 """
 
 from __future__ import annotations
@@ -54,17 +54,6 @@ def _dependencies(vectors: Iterable[Sequence[int]]) -> Iterator[list[int]]:
             basis.append((next(k for k, a in enumerate(row) if a), row, combo))
         else:
             yield combo
-
-
-def first_dependence(vectors: Iterable[Sequence[int]]) -> list[int] | None:
-    """Integer coefficients c_0..c_n, c_n != 0, of the first linear
-    dependence sum c_k v_k = 0 in a stream of integer vectors.
-
-    Vectors are drawn only until the dependence shows, so a lazy stream
-    (the powers of a field element) is never computed past it; None
-    means the stream ended first.
-    """
-    return next(_dependencies(vectors), None)
 
 
 def _column_dependencies(

@@ -44,9 +44,10 @@ class MinimalPolynomial:
 
 
 def minimal_polynomial(a: FieldElement) -> MinimalPolynomial:
-    """Minimal polynomial of a over Q: the first dependence among the
-    powers of a, which FieldElement.inverse also reads, with its content
-    divided out and its lead made positive. Its degree divides 16."""
+    """Minimal polynomial of a over Q, from the traces of the powers of a
+    by Newton's identities (tower._power_dependence, which
+    FieldElement.inverse also reads), with its content divided out and
+    its lead made positive. Its degree divides 16."""
     coeffs, _ = _power_dependence(a)
     primitive = RatPoly(_primitive(coeffs))
     return MinimalPolynomial(primitive / primitive.coeffs[-1], primitive,

@@ -18,8 +18,11 @@ basis element m being u^(m % 8) r^(m // 8). Every operation is integer
 linear algebra on that basis: an element is 16 integer numerators over
 one positive denominator, a product contracts them with the structure
 tensor of basis products, and conjugation and the Galois automorphisms
-are integer 16x16 matrices (Automorphism). The inverse of a and its
-minimal polynomial both read the first dependence among the powers of a.
+are integer 16x16 matrices (Automorphism). The trace is one integer
+linear functional, read off the tensor's diagonal. The minimal polynomial
+of a comes from the traces of its powers by Newton's identities, checked
+exactly against those powers, and the inverse of a from its constant
+term and the same powers.
 
 u embeds as the unit-modulus complex number
 (sqrt5 - 1)/(2 sqrt2) + i sqrt(sqrt5 + 1)/2 and r as the real number
@@ -35,11 +38,11 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from ._lazy import mpmath
-from .linalg import first_dependence
-from .polynomials import RatPoly, _horner, _integers_over_lcm, _power
+from .polynomials import RatPoly, _horner, _integers_over_lcm, _power, _primitive
 
 Scalar = Union[int, Fraction]
 
@@ -276,9 +279,9 @@ class FieldElement:
         return _power(self, n, _ONE)
 
     def inverse(self) -> FieldElement:
-        """Multiplicative inverse from the first dependence
-        q_0 + q_1 a + ... + q_n a^n = 0 among the powers of a: q_0 != 0
-        in a field, so 1/a = -(q_1 + q_2 a + ... + q_n a^(n-1)) / q_0."""
+        """Multiplicative inverse from the minimal polynomial
+        q_0 + q_1 a + ... + q_n a^n = 0 of a: q_0 != 0 in a field, so
+        1/a = -(q_1 + q_2 a + ... + q_n a^(n-1)) / q_0."""
         if self.is_zero():
             raise ZeroDivisionError("zero has no inverse")
         q, powers = _power_dependence(self)
@@ -344,24 +347,77 @@ _ZERO = _make((0,) * 16, 1)
 _ONE = _make((1,) + (0,) * 15, 1)
 
 
+@lru_cache(maxsize=1)
+def _trace() -> tuple[int, ...]:
+    """2 Tr(basis_i) for each i: the trace of multiplication by basis_i
+    is the sum over j of the e_j coefficient of basis_i * basis_j, read
+    doubled off the structure tensor."""
+    return tuple(sum(dict(row[j]).get(j, 0) for j in range(16)) for row in _structure())
+
+
+def _from_power_sums(sums: Sequence[tuple[int, int]], den: int) -> list[int]:
+    """Primitive integer coefficients, lowest power first, of the monic
+    polynomial of degree n = len(sums) whose roots have the power sums
+    p_k = (x_k / y_k) / den^k, (x_k, y_k) = sums[k - 1].
+
+    Newton's identities k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) p_i run in
+    integers, with no division: lift clears the denominators y_k, so with
+    Q = den * lift, P_k = p_k Q^k and E_k = k! Q^k e_k are integers and
+    E_k = sum_i (-1)^(i-1) (k-1)!/(k-i)! E_(k-i) P_i. The coefficient of
+    t^(n-k) is (-1)^k e_k; times n! Q^n it is (-1)^k E_k n!/k! Q^(n-k).
+    """
+    n = len(sums)
+    lift = lcm(*(y // gcd(x, y) for x, y in sums))
+    p = [x * lift**k // y for k, (x, y) in enumerate(sums, 1)]
+    e = [1]
+    for k in range(1, n + 1):
+        acc, falling = 0, 1
+        for i in range(1, k + 1):
+            term = falling * e[k - i] * p[i - 1]
+            acc += term if i % 2 else -term
+            falling *= k - i
+        e.append(acc)
+    coeffs = [0] * (n + 1)
+    weight = 1
+    for k in range(n, -1, -1):
+        coeffs[n - k] = -e[k] * weight if k % 2 else e[k] * weight
+        weight *= k * den * lift
+    return _primitive(coeffs)
+
+
 def _power_dependence(a: FieldElement) -> tuple[list[int], list[FieldElement]]:
-    """The first dependence q_0 + q_1 a + ... + q_n a^n = 0 among the powers
-    of a, and the powers 1, ..., a^n drawn for it. Power k is N_k / D_k, so
-    the integer dependence sum c_k N_k = 0 gives q_k = c_k D_k; the tower
-    has degree 16, so it shows by the 17th power."""
-    powers: list[FieldElement] = []
+    """Integer coefficients q_0..q_n of the minimal polynomial of a, so
+    that q_0 + q_1 a + ... + q_n a^n = 0, and the powers 1, a, ..., a^n.
 
-    def numerators():
-        power = _ONE
-        while len(powers) <= 16:
+    This rests on [Q(u, r):Q] = 16. In a field of degree 16 the
+    characteristic polynomial of multiplication by a is m^(16/n), where m
+    is the minimal polynomial of a and n, its degree, divides 16. So the
+    roots of m have the power sums p_k = (n/16) Tr(a^k), and no polynomial
+    of lower degree annihilates a. At n = 1, 2, 4, 8, 16 in turn the
+    candidate is the polynomial with those power sums, and the first one
+    with sum q_k a^k = 0, checked exactly, is m. Because of that check a
+    wrong trace or an arithmetic slip raises instead of returning a
+    polynomial that does not annihilate a.
+    """
+    trace = _trace()
+    powers = [_ONE]
+    # Tr(a^k) den^k as a fraction. den a is an integer combination of the
+    # basis, whose elements are algebraic integers, so at the degree of a
+    # (n/16) Tr(a^k) den^k is a power sum of algebraic integers, an
+    # integer, and _from_power_sums needs no lift
+    traces: list[tuple[int, int]] = []
+    for n in (1, 2, 4, 8, 16):
+        while len(powers) <= n:
+            power = powers[-1] * a if len(powers) > 1 else a
+            traces.append((sum(map(mul, trace, power.nums)) * a.den ** len(powers),
+                           2 * power.den))
             powers.append(power)
-            yield power.nums
-            power = power * a
-
-    combination = first_dependence(numerators())
-    if combination is None:
-        raise AssertionError("no dependence found within the tower degree")
-    return [c * p.den for c, p in zip(combination, powers)], powers
+        q = _from_power_sums([(n * x, 16 * y) for x, y in traces[:n]], a.den)
+        common = lcm(*(p.den for p in powers))
+        scaled = [c * (common // p.den) for c, p in zip(q, powers)]
+        if not any(sum(map(mul, scaled, column)) for column in zip(*(p.nums for p in powers))):
+            return q, powers
+    raise AssertionError("no candidate annihilates the element within the tower degree")
 
 
 # -- automorphisms ----------------------------------------------------------------

@@ -13,6 +13,11 @@ agree bit for bit.
 `gauss_jordan` is the textbook reduced row echelon form over Fraction,
 row by row, for `sicfield.linalg`, which reads its reduced form off the
 dependencies among the columns instead.
+
+`minimal_polynomial` is the first linear dependence among the powers
+1, a, a^2, ... of a field element, found by `gauss_jordan`, for
+`sicfield.minpoly.minimal_polynomial`, which reads it off the traces of
+the powers by Newton's identities instead.
 """
 
 from fractions import Fraction
@@ -22,6 +27,7 @@ import numpy as np
 from sicfield.search import (
     ARMIJO, MAX_HALVINGS, MEMORY, MIN_DECREASE, residual_gradient, sic_residual,
 )
+from sicfield.tower import FieldElement
 
 
 def normalize(psi):
@@ -113,3 +119,16 @@ def gauss_jordan(rows):
                 m[i] = [a - x * b for a, b in zip(m[i], m[r])]
         pivots.append(c)
     return m, pivots
+
+
+def minimal_polynomial(a):
+    """Monic coefficients, lowest power first, of the minimal polynomial
+    of a field element: the first power a^n that depends on 1, ..., a^(n-1),
+    read off the RREF of the 16 x 17 matrix whose columns are the powers
+    1, a, ..., a^16, whose first free column is n."""
+    powers = [FieldElement.one()]
+    for _ in range(16):
+        powers.append(powers[-1] * a)
+    reduced, pivots = gauss_jordan(list(zip(*(p.coords for p in powers))))
+    n = next(k for k in range(17) if k not in pivots)
+    return [-reduced[row][n] for row in range(n)] + [Fraction(1)]

@@ -1,10 +1,14 @@
+import random
+import time
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import field_elements, nonzero_field_elements, small_fractions
+from reference import minimal_polynomial as reference_minimal_polynomial
+from sicfield import tower
 from sicfield.minpoly import (
     is_algebraic_integer,
     is_unit,
@@ -109,6 +113,70 @@ class TestMinimalPolynomial:
         sign = 1 if coeffs[-1] > 0 else -1
         expected = RatPoly(sign * c for c in coeffs)
         assert minimal_polynomial(a.inverse()).primitive == expected
+
+
+#: named constants by the degree of their minimal polynomials; 1 stands
+#: for degree 1, and u + 2r for degree 16, which no named constant has
+BASES = {
+    1: [FieldElement.one()],
+    2: [constant(name) for name in ("sqrt2", "sqrt5", "i", "u1")],
+    4: [constant(name) for name in ("x", "tau", "isqrt_sqrt5p1", "u2")],
+    8: [constant(name) for name in ("u", "r", "u3", "u4", "u5")],
+    16: [constant("u") + 2 * constant("r")],
+}
+
+
+def generic_element(seed: int, numerator_bits: int, denominator_bits: int) -> FieldElement:
+    """16 coordinates with numerators of exactly numerator_bits bits, of
+    random sign, over denominators of exactly denominator_bits bits."""
+    rng = random.Random(seed)
+    return FieldElement([
+        Fraction(rng.choice((-1, 1)) * (rng.getrandbits(numerator_bits - 1) | 1 << numerator_bits - 1),
+                 rng.getrandbits(denominator_bits - 1) | 1 << denominator_bits - 1)
+        for _ in range(16)
+    ])
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("degree", sorted(BASES))
+    @given(pick=st.integers(min_value=0, max_value=4),
+           coeffs=st.lists(small_fractions(max_num=5, max_den=4), min_size=1, max_size=4))
+    @example(pick=0, coeffs=[0])
+    @example(pick=1, coeffs=[Fraction(-3, 2), 0, -1])
+    @settings(max_examples=15, deadline=None)
+    def test_matches_the_first_power_dependence(self, degree, pick, coeffs):
+        # a rational polynomial in a constant of the given degree; its own
+        # degree divides that one
+        base = BASES[degree][pick % len(BASES[degree])]
+        a = sum((c * base**k for k, c in enumerate(coeffs)), FieldElement.zero())
+        mp = minimal_polynomial(a)
+        expected = reference_minimal_polynomial(a)
+        assert list(mp.monic.coeffs) == expected
+        assert mp.degree == len(expected) - 1
+        if a:
+            assert a * a.inverse() == 1
+
+    def test_a_wrong_trace_raises(self, monkeypatch):
+        # each element's powers have a u coordinate, so the wrong Tr(u)
+        # reaches its power sums; the exact check must refuse every candidate
+        wrong = list(tower._trace())
+        wrong[1] += 2
+        monkeypatch.setattr(tower, "_trace", lambda: tuple(wrong))
+        for a in (constant("u"), constant("tau"), BASES[16][0], generic_element(3, 4, 3)):
+            with pytest.raises(AssertionError, match="no candidate"):
+                minimal_polynomial(a)
+            with pytest.raises(AssertionError, match="no candidate"):
+                a.inverse()
+
+    def test_generic_degree_sixteen_with_64_bit_numerators(self):
+        a = generic_element(16, 64, 32)
+        start = time.perf_counter()
+        mp = minimal_polynomial(a)
+        inverse = a.inverse()
+        elapsed = time.perf_counter() - start
+        assert mp.degree == 16
+        assert a * inverse == 1
+        assert elapsed < 2.0
 
 
 class TestIntegralityAndUnits:
