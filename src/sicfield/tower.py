@@ -22,7 +22,10 @@ are integer 16x16 matrices (Automorphism). The trace is one integer
 linear functional, read off the tensor's diagonal. The minimal polynomial
 of a comes from the traces of its powers by Newton's identities, checked
 exactly against those powers, and the inverse of a from its constant
-term and the same powers.
+term and the same powers. Those powers apply multiplication by a, an
+integer matrix like an automorphism's, whose columns are read off the
+tensor as the powers first need them and kept, so each later power costs
+one matrix-vector product instead of a contraction with the tensor.
 
 u embeds as the unit-modulus complex number
 (sqrt5 - 1)/(2 sqrt2) + i sqrt(sqrt5 + 1)/2 and r as the real number
@@ -98,7 +101,7 @@ if _reduce_u(_poly_mul(_C2, _X)) != [4] + [0] * 7:
 
 
 def _sparse(vec: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    return tuple((k, x) for k, x in enumerate(vec) if x)
+    return tuple([(k, x) for k, x in enumerate(vec) if x])
 
 
 @lru_cache(maxsize=1)
@@ -385,6 +388,30 @@ def _from_power_sums(sums: Sequence[tuple[int, int]], den: int) -> list[int]:
     return _primitive(coeffs)
 
 
+def _apply(columns: Sequence[Sequence[tuple[int, int]] | None],
+           nums: Sequence[int]) -> list[int]:
+    """sum_m nums[m] columns[m]: an integer matrix, held as sparse
+    (k, entry) columns, applied to an integer vector. Only the columns
+    where nums is nonzero are read, so the others may be None."""
+    out = [0] * 16
+    for x, col in zip(nums, columns):
+        if x:
+            for k, c in col:
+                out[k] += x * c
+    return out
+
+
+def _column(i: int, nonzero: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """Column i of multiplication by a, the numerators of a basis_i over
+    2 den(a): sum_j a_j T[i][j], with nonzero the (j, a_j) where a_j != 0."""
+    row = _structure()[i]
+    out = [0] * 16
+    for j, y in nonzero:
+        for k, t in row[j]:
+            out[k] += t * y
+    return _sparse(out)
+
+
 def _power_dependence(a: FieldElement) -> tuple[list[int], list[FieldElement]]:
     """Integer coefficients q_0..q_n of the minimal polynomial of a, so
     that q_0 + q_1 a + ... + q_n a^n = 0, and the powers 1, a, ..., a^n.
@@ -398,9 +425,21 @@ def _power_dependence(a: FieldElement) -> tuple[list[int], list[FieldElement]]:
     with sum q_k a^k = 0, checked exactly, is m. Because of that check a
     wrong trace or an arithmetic slip raises instead of returning a
     polynomial that does not annihilate a.
+
+    Multiplication by a is one integer linear map, so each power after a
+    is that map applied to the one before, sum_i x_i column_i over its
+    nonzero coordinates x_i. Column i is built from the structure tensor
+    the first time a power has a nonzero coordinate i and kept for the
+    rest of the sequence. A dense element fills all 16 once, reading the
+    848 tensor entries that every product with it reads, and each power
+    after that takes at most 256 multiply-adds instead of 848; an element of low
+    degree, whose powers stay in a subfield, fills only the columns its
+    powers use.
     """
     trace = _trace()
     powers = [_ONE]
+    times_a: list[tuple[tuple[int, int], ...] | None] = [None] * 16
+    nonzero = [(j, y) for j, y in enumerate(a.nums) if y]
     # Tr(a^k) den^k as a fraction. den a is an integer combination of the
     # basis, whose elements are algebraic integers, so at the degree of a
     # (n/16) Tr(a^k) den^k is a power sum of algebraic integers, an
@@ -408,7 +447,14 @@ def _power_dependence(a: FieldElement) -> tuple[list[int], list[FieldElement]]:
     traces: list[tuple[int, int]] = []
     for n in (1, 2, 4, 8, 16):
         while len(powers) <= n:
-            power = powers[-1] * a if len(powers) > 1 else a
+            if len(powers) > 1:
+                last = powers[-1]
+                for i, x in enumerate(last.nums):
+                    if x and times_a[i] is None:
+                        times_a[i] = _column(i, nonzero)
+                power = _reduced(_apply(times_a, last.nums), 2 * last.den * a.den)
+            else:
+                power = a
             traces.append((sum(map(mul, trace, power.nums)) * a.den ** len(powers),
                            2 * power.den))
             powers.append(power)
@@ -472,16 +518,8 @@ class Automorphism:
     def image_r(self) -> FieldElement:
         return self._image(_R)
 
-    def _numerators(self, nums: Sequence[int]) -> list[int]:
-        out = [0] * 16
-        for x, col in zip(nums, self.cols):
-            if x:
-                for k, c in col:
-                    out[k] += x * c
-        return out
-
     def _image(self, elem: FieldElement) -> FieldElement:
-        return _reduced(self._numerators(elem.nums), self.den * elem.den)
+        return _reduced(_apply(self.cols, elem.nums), self.den * elem.den)
 
     def apply(self, elem: FieldElement) -> FieldElement:
         """Image of a field element under the automorphism."""
@@ -496,7 +534,7 @@ class Automorphism:
             dense = [0] * 16
             for k, c in col:
                 dense[k] = c
-            columns.append(self._numerators(dense))
+            columns.append(_apply(self.cols, dense))
         return _matrix(columns, self.den * other.den)
 
     def __pow__(self, n: int) -> Automorphism:
