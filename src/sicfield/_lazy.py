@@ -3,6 +3,10 @@
 Each module is registered in sys.modules when sicfield is imported, but
 its code runs only when one of its attributes is first read, so the
 exact commands, which never read one, start without paying for either.
+numpy is read by the search and the numeric helpers. mpmath is read
+only by --precision extended and embed(..., dps=...): a default-precision
+embed that the double bound does not certify falls back to an exact
+integer sum, with an integer-checked bound, not to mpmath.
 """
 
 from __future__ import annotations

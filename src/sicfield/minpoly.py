@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .polynomials import RatPoly, _primitive, palindromic_lift
-from .tower import FieldElement, _power_dependence
+from .tower import FieldElement, _power_dependence, _trace
 
 __all__ = [
     "MinimalPolynomial",
@@ -54,15 +55,34 @@ def minimal_polynomial(a: FieldElement) -> MinimalPolynomial:
                              len(coeffs) - 1)
 
 
+def _integral_minimal_polynomial(a: FieldElement) -> list[int] | None:
+    """The coefficients of the monic minimal polynomial of a, lowest power
+    first, when they are all integers, and otherwise None.
+
+    An algebraic integer has integer traces, so a trace of a or of a^2
+    that is not an integer answers None at once. Otherwise the
+    coefficients of _power_dependence are primitive with a positive lead,
+    and the monic polynomial, which is them divided by the lead, is
+    integral exactly when that lead is 1 (Gauss's lemma).
+    """
+    trace = _trace()  # 2 Tr(basis_i)
+    for power in (a, a * a):
+        if sum(map(mul, trace, power.nums)) % (2 * power.den):
+            return None
+    coeffs, _ = _power_dependence(a)
+    return coeffs if coeffs[-1] == 1 else None
+
+
 def is_algebraic_integer(a: FieldElement) -> bool:
     """True when the monic minimal polynomial has integer coefficients."""
-    return minimal_polynomial(a).is_algebraic_integer
+    return _integral_minimal_polynomial(a) is not None
 
 
 def is_unit(a: FieldElement) -> bool:
     """True for algebraic integers whose norm is +-1, i.e. whose monic
     minimal polynomial has integer coefficients and constant term +-1."""
-    return minimal_polynomial(a).is_unit
+    coeffs = _integral_minimal_polynomial(a)
+    return coeffs is not None and abs(coeffs[0]) == 1
 
 
 def palindrome_reduce(p: RatPoly) -> RatPoly:

@@ -680,25 +680,19 @@ def constant(name: str) -> FieldElement:
 
 # -- the complex embedding ---------------------------------------------------
 
-
-def _generators(sqrt, make_complex):
-    """The embedded u and r, in the arithmetic of sqrt and make_complex."""
-    s5 = sqrt(5)
-    s2 = sqrt(2)
-    u = make_complex((s5 - 1) / (2 * s2), sqrt(s5 + 1) / 2)
-    r = make_complex(-(s5 + 1) / (2 * s2) - sqrt(s5 - 1) / 2, 0)
-    return u, r
-
-
-_U_COMPLEX, _R_COMPLEX = _generators(math.sqrt, complex)
+_S5, _S2 = math.sqrt(5), math.sqrt(2)
+_U_COMPLEX = complex((_S5 - 1) / (2 * _S2), math.sqrt(_S5 + 1) / 2)
+_R_COMPLEX = complex(-(_S5 + 1) / (2 * _S2) - math.sqrt(_S5 - 1) / 2, 0)
 
 #: a value is returned once its error bound is at most this fraction of
 #: its modulus
 EMBED_RELATIVE_ERROR = 1e-13
+# 2^-44 < 0.6 EMBED_RELATIVE_ERROR, which leaves room for the rounding of
+# an exact value to the nearest double
 _EMBED_RELATIVE_BITS = math.ceil(-math.log2(EMBED_RELATIVE_ERROR))
 
-# Error of Horner's rule at precision p on 8 + 8 coordinates, |u| = 1:
-# at most _ROUNDING_FACTOR * 2^-p * (sum |a_k| + |r| sum |b_k|), with room
+# Error of Horner's rule in double precision on 8 + 8 coordinates, |u| = 1:
+# at most _ROUNDING_FACTOR * 2^-53 * (sum |a_k| + |r| sum |b_k|), with room
 # for the rounding of the coordinates and generators themselves.
 _ROUNDING_FACTOR = 64
 
@@ -730,25 +724,77 @@ def _embed_double(elem: FieldElement) -> complex | None:
     return z if _certified(z, bound, EMBED_RELATIVE_ERROR) else None
 
 
-def _embed_mp(elem: FieldElement, relative_bits: int):
-    """A multiprecision value within 2^-relative_bits of the truth,
-    relative to its modulus, at rising precision until the bound
-    certifies it. The start also covers the largest coordinate's bits,
-    which is as much as the 16 terms can cancel against a modest value."""
+#: bits that _basis_values carries below the unit 2^-q it rounds to
+_GUARD_BITS = 32
+
+#: each entry of _basis_values(q) is within this many units of 2^q times
+#: the basis value it stands for, as a complex number
+_TABLE_ERROR = 2
+
+
+@lru_cache(maxsize=16)
+def _basis_values(q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The real parts and the imaginary parts of 2^q u^k r^e, basis
+    element m = k + 8e at index m, as integers each within one unit of
+    the truth.
+
+    The work is in fixed point at p = q + _GUARD_BITS bits. Floor square
+    roots by math.isqrt give u = (sqrt10 - sqrt2)/4 + i sqrt(sqrt5 + 1)/2
+    and r = -(sqrt10 + sqrt2)/4 - sqrt(sqrt5 - 1)/2 within 4 units of
+    2^-p in each component. Each of the at most eight products that build
+    a basis value scales the error carried in by |u| = 1 or |r| < 2 and
+    adds the error of its generator and less than 2 units of rounding, so
+    every component is within 2^8 units at p bits. Rounding to q bits
+    leaves it within 1/2 + 2^-24 units, and each entry within
+    sqrt2 < _TABLE_ERROR units as a complex number.
+    """
+    p = q + _GUARD_BITS
+    one = 1 << p
+    s2, s5, s10 = (math.isqrt(n << 2 * p) for n in (2, 5, 10))
+    u_re = (s10 - s2) >> 2
+    u_im = math.isqrt((s5 + one) << p) >> 1
+    r = -((s10 + s2) >> 2) - (math.isqrt((s5 - one) << p) >> 1)
+    powers = [(one, 0)]
+    for _ in range(7):
+        a, b = powers[-1]
+        powers.append(((a * u_re - b * u_im) >> p, (a * u_im + b * u_re) >> p))
+    powers += [((a * r) >> p, (b * r) >> p) for a, b in powers]
+    half = 1 << (_GUARD_BITS - 1)
+    return (tuple([(a + half) >> _GUARD_BITS for a, _ in powers]),
+            tuple([(b + half) >> _GUARD_BITS for _, b in powers]))
+
+
+def _embed_exact(elem: FieldElement, relative_bits: int) -> tuple[int, int, int]:
+    """Integers x, y and d > 0 such that (x + iy) / d is within
+    2^-relative_bits of the embedded value, relative to its modulus.
+
+    x + iy is the exact integer sum of nums[m] times entry m of
+    _basis_values(q), so it is within _TABLE_ERROR sum |nums[m]| units of
+    2^q den times the value, and isqrt(x^2 + y^2) minus that bound is a
+    lower bound on the modulus of the latter. While the bound is not small
+    enough against it, q doubles. The first q, a multiple of 64 so that
+    few tables are built, also covers the largest coordinate's bits,
+    which is as much as the 16 terms can cancel against a modest value.
+    """
     nums, den = elem.nums, elem.den
     top = max(abs(n).bit_length() for n in nums) - den.bit_length()
-    precision = 64 + relative_bits + max(top, 0)
+    q = -(-(64 + relative_bits + max(top, 0)) // 64) * 64
+    bound = _TABLE_ERROR * sum(map(abs, nums))
     while True:
-        with mpmath.workprec(precision):
-            u, r = _generators(mpmath.sqrt, mpmath.mpc)
-            a = [mpmath.mpf(n) / den for n in nums[:8]]
-            b = [mpmath.mpf(n) / den for n in nums[8:]]
-            z = _horner(a, u) + _horner(b, u) * r
-            scale = mpmath.fsum(map(abs, a)) + abs(r) * mpmath.fsum(map(abs, b))
-            bound = _ROUNDING_FACTOR * mpmath.ldexp(scale, -precision)
-            if _certified(z, bound, mpmath.ldexp(1, -relative_bits)):
-                return z
-        precision *= 2
+        re, im = _basis_values(q)
+        x, y = sum(map(mul, nums, re)), sum(map(mul, nums, im))
+        if (bound << relative_bits) + bound <= math.isqrt(x * x + y * y):
+            return x, y, den << q
+        q *= 2
+
+
+def _float_ratio(n: int, d: int) -> float:
+    """n / d correctly rounded, or an infinity of its sign when it is
+    beyond the float range."""
+    try:
+        return n / d
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
 
 
 def embed(elem: FieldElement, dps: int | None = None):
@@ -757,15 +803,24 @@ def embed(elem: FieldElement, dps: int | None = None):
     With dps=None this returns a Python complex within
     EMBED_RELATIVE_ERROR of the true value, relative to its modulus. It
     is the double-precision Horner value whenever an a-priori rounding
-    bound certifies that, and otherwise the double nearest a
-    multiprecision evaluation whose own bound does; coordinates too
-    large for a float take the second path. With an integer dps it
-    returns an mpmath.mpc with that many correct decimal digits,
-    relative to its modulus, from the same multiprecision evaluation.
+    bound certifies that. Otherwise, and for coordinates too large for a
+    float, it is the double nearest an exact integer sum of the
+    coordinates times a fixed-point table of the basis values, whose
+    error bound is checked in integers (_embed_exact); a value beyond the
+    float range is an infinity. With a positive int dps it returns an
+    mpmath.mpc with that many correct decimal digits, relative to its
+    modulus, from the same integer sum; only this path loads mpmath. Any
+    other dps raises ValueError.
     """
     if dps is None:
         z = _embed_double(elem)
-        return z if z is not None else complex(_embed_mp(elem, _EMBED_RELATIVE_BITS))
-    z = _embed_mp(elem, math.ceil(dps * math.log2(10)) + 4)
+        if z is not None:
+            return z
+        x, y, d = _embed_exact(elem, _EMBED_RELATIVE_BITS)
+        return complex(_float_ratio(x, d), _float_ratio(y, d))
+    if isinstance(dps, bool) or not isinstance(dps, int) or dps < 1:
+        raise ValueError(f"dps must be a positive int, not {dps!r}")
+    x, y, d = _embed_exact(elem, math.ceil(dps * math.log2(10)) + 4)
     with mpmath.workdps(dps):
-        return +z
+        # fdiv reads both integers exactly and rounds their quotient once
+        return mpmath.mpc(mpmath.fdiv(x, d), mpmath.fdiv(y, d))

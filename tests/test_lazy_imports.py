@@ -42,6 +42,9 @@ EXACT_COMMANDS = {
     "galois": ["galois", "--json"],
     "units": ["units", "--json"],
     "minpoly": ["minpoly", "u+r", "--json"],
+    # a value the double bound does not certify (test_tower's
+    # test_fallback_elements), computed by the exact integer sum
+    "minpoly-fallback": ["minpoly", "sqrt5 - 2", "--json"],
 }
 
 

@@ -1,6 +1,8 @@
 import random
 import time
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import mpmath
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import field_elements, nonzero_field_elements, small_fractions
 from reference import minimal_polynomial as reference_minimal_polynomial
 from sicfield import tower
+from sicfield.expressions import evaluate_expression
 from sicfield.minpoly import (
     is_algebraic_integer,
     is_unit,
@@ -227,6 +230,20 @@ class TestAgainstReference:
         assert elapsed < 0.5
 
 
+def integral_elements() -> st.SearchStrategy[FieldElement]:
+    """Integer coordinates: sums of basis elements, all algebraic integers."""
+    return st.builds(FieldElement, st.lists(st.integers(-3, 3), min_size=16, max_size=16))
+
+
+def unit_products() -> st.SearchStrategy[FieldElement]:
+    """+-1 times a product of powers of the units u, r and u1..u5."""
+    units = [constant(name) for name in ("u", "r", "u1", "u2", "u3", "u4", "u5")]
+    return st.builds(
+        lambda sign, exponents: sign * reduce(mul, map(pow, units, exponents)),
+        st.sampled_from((1, -1)),
+        st.lists(st.integers(-2, 2), min_size=len(units), max_size=len(units)))
+
+
 class TestIntegralityAndUnits:
     def test_algebraic_integers(self):
         for name in ("u", "r", "x", "i", "tau", "sqrt2", "sqrt5",
@@ -250,6 +267,34 @@ class TestIntegralityAndUnits:
         assert is_unit(FieldElement.from_rational(-1))
         assert is_unit(FieldElement.one())
         assert not is_unit(FieldElement.from_rational(2))
+
+    @pytest.mark.parametrize("text, integral_traces, integral, unit", [
+        ("1/2", True, False, False),
+        ("sqrt5/2", True, False, False),
+        ("u1/3", False, False, False),  # Tr(u1) = 16
+        ("u1^5", True, True, True),
+    ])
+    def test_trace_screen(self, text, integral_traces, integral, unit):
+        # the traces of a and a^2 screen out some non-integers, not all
+        a = evaluate_expression(text)
+        traces = [Fraction(sum(map(mul, tower._trace(), p.nums)), 2 * p.den)
+                  for p in (a, a * a)]
+        assert all(t.denominator == 1 for t in traces) == integral_traces
+        assert is_algebraic_integer(a) == integral
+        assert is_unit(a) == unit
+
+    @given(st.one_of(field_elements(), integral_elements(), unit_products(),
+                     unit_products().map(lambda e: e / 2)))
+    @example(FieldElement.from_rational(Fraction(1, 2)))
+    @example(constant("sqrt5") / 2)
+    @example(constant("u1") / 3)
+    @example(constant("u1") ** 5)
+    @example(FieldElement.zero())
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_the_minimal_polynomial(self, a):
+        result = minimal_polynomial(a)
+        assert is_algebraic_integer(a) == result.is_algebraic_integer
+        assert is_unit(a) == result.is_unit
 
 
 class TestPalindromeReduce:

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import field_elements, nonzero_field_elements, small_fractions
+from sicfield.expressions import evaluate_expression
 from sicfield.galois import Automorphism
 from sicfield.polynomials import RatPoly
 from sicfield.tower import (
@@ -14,6 +15,9 @@ from sicfield.tower import (
     X_MIN_POLY,
     FieldElement,
     constant,
+    _TABLE_ERROR,
+    _basis_values,
+    _embed_double,
     embed,
     substitute,
 )
@@ -33,6 +37,34 @@ _REFERENCE = {name: constant(name) for name in CONSTANT_NAMES}
 EMBED_U = complex(0.4370160244488211, 0.8994537199739336)
 EMBED_R = -1.7000157758867898
 EMBED_INV_R = -0.5882298353839474
+
+
+def radicals():
+    """u and r from their defining radicals, at the current mpmath precision."""
+    s5, s2 = mpmath.sqrt(5), mpmath.sqrt(2)
+    u = mpmath.mpc((s5 - 1) / (2 * s2), mpmath.sqrt(s5 + 1) / 2)
+    r = -(s5 + 1) / (2 * s2) - mpmath.sqrt(s5 - 1) / 2
+    return u, r
+
+
+def reference_value(e, dps=60):
+    """The embedded value of e to dps digits, relative to its modulus. The
+    terms may cancel down to about the inverse of the largest coordinate,
+    so twice its digits are added."""
+    digits = max(len(str(abs(n))) for n in e.nums)
+    with mpmath.workdps(dps + 2 * digits + 10):
+        u, r = radicals()
+        z = mpmath.fsum(n * u ** (m % 8) * r ** (m // 8) for m, n in enumerate(e.nums))
+        z /= e.den
+    with mpmath.workdps(dps):
+        return +z
+
+
+def cancelling_sums():
+    """b s^n for s = sqrt5 - 2 or sqrt2 - 1: coordinates that grow like
+    (sqrt5 + 2)^n or (sqrt2 + 1)^n, a value that shrinks like s^n."""
+    return st.builds(lambda b, s, n: b * s**n, nonzero_field_elements(),
+                     st.sampled_from((SQRT5 - 2, SQRT2 - 1)), st.integers(1, 40))
 
 
 class TestRepresentation:
@@ -317,6 +349,52 @@ class TestEmbedding:
 
     def test_dunder_complex(self):
         assert complex(U) == embed(U)
+
+    def test_zero(self):
+        zero = FieldElement.zero()
+        assert embed(zero) == 0
+        assert embed(zero, dps=30) == 0
+
+    @pytest.mark.parametrize("dps", [-5, 0, 2.5, True, "50"], ids=repr)
+    def test_dps_must_be_a_positive_int(self, dps):
+        with pytest.raises(ValueError, match="dps"):
+            embed(SQRT5, dps)
+
+
+class TestIntegerEmbedding:
+    """The path of embed that an a-priori double bound does not certify:
+    an exact integer sum against a fixed-point table of the basis."""
+
+    @pytest.mark.parametrize("q", [128, 192, 1024])
+    def test_table_within_its_bound(self, q):
+        re, im = _basis_values(q)
+        # 400 digits, 1328 bits, resolve a unit below 2^1024 with room
+        with mpmath.workdps(400):
+            u, r = radicals()
+            for m in range(16):
+                exact = u ** (m % 8) * r ** (m // 8) * mpmath.mpf(2) ** q
+                error = mpmath.mpc(re[m], im[m]) - exact
+                assert abs(error.real) <= 1 and abs(error.imag) <= 1, m
+                assert abs(error) <= _TABLE_ERROR, m
+
+    # (sqrt5 - 2)^60, about 2^-125 with 126-bit coordinates, cancels
+    # further than the first q covers, so q doubles
+    @pytest.mark.parametrize("text", ["sqrt5 - 2", "u1^-12", "(u + 1/u)^2 / r",
+                                      "(sqrt5 - 2)^60"])
+    def test_fallback_elements(self, text):
+        e = evaluate_expression(text)
+        assert _embed_double(e) is None
+        exact = reference_value(e)
+        assert abs(embed(e) - exact) <= EMBED_RELATIVE_ERROR * abs(exact)
+        with mpmath.workdps(60):
+            assert abs(embed(e, dps=40) - exact) <= mpmath.mpf(10) ** -40 * abs(exact)
+
+    @given(cancelling_sums())
+    @settings(max_examples=40, deadline=None)
+    def test_cancelling_sums(self, e):
+        assume(_embed_double(e) is None)
+        exact = reference_value(e)
+        assert abs(embed(e) - exact) <= EMBED_RELATIVE_ERROR * abs(exact)
 
 
 class TestSubstitute:
