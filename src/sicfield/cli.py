@@ -23,6 +23,7 @@ and 141 when the reader of the output closes it early.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import sys
@@ -61,20 +62,18 @@ EXIT_BROKEN_PIPE = 141
 
 
 def render_number(value: Any) -> str:
-    """12 significant digits, round half to even."""
+    """The exact rational that value stands for, rounded once to 12
+    significant digits, ties to even; int() reads the numpy integer that
+    Fraction keeps as a numerator. A NaN or an infinity raises."""
+    if hasattr(value, "_mpf_"):
+        if not mpmath.isfinite(value):
+            raise ValueError(f"{value} has no digits")
+        value = Fraction(*mpmath.libmp.to_rational(value._mpf_))
+    exact = Fraction(value)
     with localcontext() as ctx:
         ctx.prec = 12
         ctx.rounding = ROUND_HALF_EVEN
-        if isinstance(value, Fraction):
-            dec = Decimal(value.numerator) / Decimal(value.denominator)
-        elif isinstance(value, int):
-            dec = Decimal(value)
-        # floats first, so that printing a double does not load mpmath
-        elif isinstance(value, float) or not isinstance(value, mpmath.mpf):
-            dec = Decimal(float(value))
-        else:
-            dec = Decimal(mpmath.nstr(value, 25))
-        return str(ctx.plus(dec))
+        return str(Decimal(int(exact.numerator)) / Decimal(int(exact.denominator)))
 
 
 def render_complex(value: Any) -> str:
@@ -85,7 +84,10 @@ def render_complex(value: Any) -> str:
 
 
 def serialize_element(elem: FieldElement, precision: str) -> dict:
-    z = embed(elem, EXTENDED_DPS if precision == "extended" else None)
+    # a double beyond the float range gives way to the EXTENDED_DPS value
+    z = None if precision == "extended" else embed(elem)
+    if z is None or not cmath.isfinite(z):
+        z = embed(elem, EXTENDED_DPS)
     approx = {"re": render_number(z.real), "im": render_number(z.imag)}
     return {"coords": [str(c) for c in elem.coords], "approx": approx}
 

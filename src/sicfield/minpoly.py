@@ -7,7 +7,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .polynomials import RatPoly, _primitive, palindromic_lift
+from .polynomials import RatPoly, palindromic_lift
 from .tower import FieldElement, _power_dependence, _trace
 
 __all__ = [
@@ -31,14 +31,13 @@ class MinimalPolynomial:
 
     @property
     def is_algebraic_integer(self) -> bool:
-        """True when the monic form has integer coefficients."""
-        return self.monic.has_integer_coefficients()
+        """True when the primitive form's lead is 1 (Gauss's lemma)."""
+        return self.primitive.coeffs[-1] == 1
 
     @property
     def is_unit(self) -> bool:
-        """True for algebraic integers of norm +-1: integer monic
-        coefficients and constant term +-1."""
-        return self.is_algebraic_integer and abs(self.monic.coefficient(0)) == 1
+        """True for algebraic integers of norm +-1 (constant term +-1)."""
+        return self.is_algebraic_integer and abs(self.primitive.coeffs[0]) == 1
 
     def __str__(self) -> str:
         return self.primitive.format()
@@ -47,10 +46,10 @@ class MinimalPolynomial:
 def minimal_polynomial(a: FieldElement) -> MinimalPolynomial:
     """Minimal polynomial of a over Q, from the traces of the powers of a
     by Newton's identities (tower._power_dependence, which
-    FieldElement.inverse also reads), with its content divided out and
-    its lead made positive. Its degree divides 16."""
+    FieldElement.inverse also reads), content 1 and lead positive. Its
+    degree divides 16."""
     coeffs, _ = _power_dependence(a)
-    primitive = RatPoly(_primitive(coeffs))
+    primitive = RatPoly(coeffs)
     return MinimalPolynomial(primitive / primitive.coeffs[-1], primitive,
                              len(coeffs) - 1)
 

@@ -181,9 +181,6 @@ class RatPoly:
                 rem[k - dn + j] -= q * dcs[j]
         return RatPoly(quot), RatPoly(rem)
 
-    def __mod__(self, divisor: RatPoly) -> RatPoly:
-        return divmod(self, divisor)[1]
-
     def __call__(self, x):
         """Evaluate by Horner's rule at any value supporting + and *."""
         if not self.coeffs:
@@ -202,9 +199,6 @@ class RatPoly:
         if self.is_zero():
             return self
         return RatPoly(_primitive(_integers_over_lcm(self.coeffs)[0]))
-
-    def has_integer_coefficients(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
 
     def is_palindromic(self) -> bool:
         return bool(self.coeffs) and self.coeffs == tuple(reversed(self.coeffs))

@@ -540,10 +540,7 @@ class Automorphism:
     def __pow__(self, n: int) -> Automorphism:
         """The group is finite, so n counts modulo the order of self; a
         negative n is a power of the inverse."""
-        result = _IDENTITY
-        for _ in range(n % element_order(self)):
-            result = result * self
-        return result
+        return _power(self, n % element_order(self), _IDENTITY)
 
     def inverse(self) -> Automorphism:
         return self ** -1

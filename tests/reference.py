@@ -18,10 +18,16 @@ dependencies among the columns instead.
 1, a, a^2, ... of a field element, found by `gauss_jordan`, for
 `sicfield.minpoly.minimal_polynomial`, which reads it off the traces of
 the powers by Newton's identities instead.
+
+`render_number` is the earlier `sicfield.cli.render_number`, which
+picked a conversion by type and read an mpmath value through a 25-digit
+string, for the one that rounds the exact rational once.
 """
 
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from sicfield.search import (
@@ -132,3 +138,19 @@ def minimal_polynomial(a):
     reduced, pivots = gauss_jordan(list(zip(*(p.coords for p in powers))))
     n = next(k for k in range(17) if k not in pivots)
     return [-reduced[row][n] for row in range(n)] + [Fraction(1)]
+
+
+def render_number(value):
+    """12 significant digits, round half to even."""
+    with localcontext() as ctx:
+        ctx.prec = 12
+        ctx.rounding = ROUND_HALF_EVEN
+        if isinstance(value, Fraction):
+            dec = Decimal(value.numerator) / Decimal(value.denominator)
+        elif isinstance(value, int):
+            dec = Decimal(value)
+        elif isinstance(value, float) or not isinstance(value, mpmath.mpf):
+            dec = Decimal(float(value))
+        else:
+            dec = Decimal(mpmath.nstr(value, 25))
+        return str(ctx.plus(dec))

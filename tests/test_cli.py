@@ -5,10 +5,17 @@ import subprocess
 import sys
 import time
 
+import mpmath
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from reference import render_number as reference_render_number
 
 from sicfield.cli import EXIT_BROKEN_PIPE, main, render_number
 from sicfield.expressions import evaluate_expression
+
+DOUBLES = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def run_cli(capsys, *argv):
@@ -36,6 +43,32 @@ class TestRenderNumber:
     def test_short_values_stay_short(self):
         assert render_number(0.25) == "0.25"
         assert render_number(5) == "5"
+
+    # the earlier type-by-type conversion is the oracle wherever it
+    # rounded once: doubles (subnormals included), ints, Fractions, and
+    # numpy float64 and int64; above 2^53 it rounded an int64 through a
+    # double first, so there the exact int is the oracle
+    @given(DOUBLES)
+    def test_doubles_match_the_reference(self, x):
+        assert render_number(x) == reference_render_number(x)
+        assert render_number(np.float64(x)) == reference_render_number(np.float64(x))
+
+    @given(st.booleans() | st.integers() | st.integers(min_value=2**64))
+    def test_ints_match_the_reference(self, n):
+        assert render_number(n) == reference_render_number(n)
+
+    @given(st.fractions())
+    def test_fractions_match_the_reference(self, q):
+        assert render_number(q) == reference_render_number(q)
+
+    @given(st.integers(min_value=-(2**63), max_value=2**63 - 1))
+    def test_int64_matches_the_reference(self, n):
+        oracle = n if abs(n) > 2**53 else np.int64(n)
+        assert render_number(np.int64(n)) == reference_render_number(oracle)
+
+    @given(DOUBLES)
+    def test_mpf_renders_as_its_double(self, x):
+        assert render_number(mpmath.mpf(x)) == render_number(x)
 
 
 class TestVerifyD4:
@@ -151,6 +184,18 @@ class TestMinpoly:
         b = slow[0]["details"]["element"]["approx"]
         assert float(a["re"]) == pytest.approx(float(b["re"]), abs=1e-11)
         assert float(a["im"]) == pytest.approx(float(b["im"]), abs=1e-11)
+
+    def test_integers_print_alike_at_both_precisions(self, capsys):
+        for precision in ("double", "extended"):
+            _, reports = run_json(capsys, "minpoly", "3", "--precision", precision)
+            assert reports[0]["details"]["element"]["approx"] == {"re": "3", "im": "0"}
+
+    def test_value_beyond_the_double_range_prints_its_digits(self, capsys):
+        # u1^1000 is about 6e382; its double is an infinity, so the
+        # report carries the 50-digit value instead
+        _, reports = run_json(capsys, "minpoly", "u1^1000")
+        assert reports[0]["details"]["element"]["approx"] == {
+            "re": "5.96602869489E+382", "im": "0"}
 
 
 class TestGalois:

@@ -6,6 +6,7 @@ process itself has imported numpy long before.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -112,7 +113,8 @@ def test_loaded_module_is_returned_as_is():
     assert lazy_import("json") is json
 
 
-# the order of render_number's type tests must not change any rendering
+# every kind of value render_number takes, each rounded once from its exact
+# value; an mpf that is a whole number prints as the int it equals
 RENDERED = [
     (0, "0"),
     (-7, "-7"),
@@ -138,7 +140,9 @@ RENDERED = [
     (mpmath.mpf(1) / 3, "0.333333333333"),
     (mpmath.mpf("-2.5e-7"), "-2.50000000000E-7"),
     (mpmath.mpf(123456789012.5), "123456789012"),
-    (mpmath.mpf(0), "0.0"),
+    (mpmath.mpf(0), "0"),
+    (mpmath.mpf(3), "3"),
+    (-mpmath.mpf(3), "-3"),
     (mpmath.mpf("1e-30"), "1.00000000000E-30"),
 ]
 
@@ -146,3 +150,11 @@ RENDERED = [
 @pytest.mark.parametrize("value, text", RENDERED, ids=repr)
 def test_render_number_table(value, text):
     assert render_number(value) == text
+
+
+# no report may hold a NaN or an infinity, so none has digits to print
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, mpmath.inf, mpmath.nan],
+                         ids=repr)
+def test_render_number_refuses_non_finite_values(value):
+    with pytest.raises((OverflowError, ValueError)):
+        render_number(value)

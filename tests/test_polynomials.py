@@ -106,7 +106,7 @@ class TestNormalForms:
 
     def test_primitive_has_positive_lead_and_content_one(self):
         p = RatPoly([Fraction(6, 5), 0, Fraction(-9, 10)]).primitive()
-        assert p.has_integer_coefficients()
+        assert all(c.denominator == 1 for c in p.coeffs)
         assert p.coeffs[-1] > 0
         assert p == RatPoly([-4, 0, 3])
 

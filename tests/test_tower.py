@@ -216,7 +216,7 @@ class TestFieldOps:
         # independent route: multiply the Q(u) parts as polynomials and
         # reduce with the octic and r^2 = -1 - c r, c = 2/x
         def reduced(poly):
-            coeffs = list((poly % U_MIN_POLY).coeffs)
+            coeffs = list(divmod(poly, U_MIN_POLY)[1].coeffs)
             return coeffs + [0] * (8 - len(coeffs))
 
         c = 2 / X
