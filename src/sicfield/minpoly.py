@@ -23,11 +23,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MinimalPolynomial:
-    """Monic and primitive-integer forms of a minimal polynomial."""
+    """A minimal polynomial in primitive integer form: content 1, lead positive."""
 
-    monic: RatPoly
     primitive: RatPoly
-    degree: int
+
+    @property
+    def monic(self) -> RatPoly:
+        return self.primitive / self.primitive.coeffs[-1]
+
+    @property
+    def degree(self) -> int:
+        return self.primitive.degree
 
     @property
     def is_algebraic_integer(self) -> bool:
@@ -44,44 +50,34 @@ class MinimalPolynomial:
 
 
 def minimal_polynomial(a: FieldElement) -> MinimalPolynomial:
-    """Minimal polynomial of a over Q, from the traces of the powers of a
-    by Newton's identities (tower._power_dependence, which
-    FieldElement.inverse also reads), content 1 and lead positive. Its
+    """Minimal polynomial of a over Q, from the integer traces of the
+    powers of den(a) a by Newton's identities with exact division
+    (tower._power_dependence, which FieldElement.inverse also reads). Its
     degree divides 16."""
     coeffs, _ = _power_dependence(a)
-    primitive = RatPoly(coeffs)
-    return MinimalPolynomial(primitive / primitive.coeffs[-1], primitive,
-                             len(coeffs) - 1)
+    return MinimalPolynomial(RatPoly(coeffs))
 
 
-def _integral_minimal_polynomial(a: FieldElement) -> list[int] | None:
-    """The coefficients of the monic minimal polynomial of a, lowest power
-    first, when they are all integers, and otherwise None.
+def _integral_traces(a: FieldElement) -> bool:
+    """Whether Tr(a) and then Tr(a^2) are integers, as they are for an
+    algebraic integer: a cheap screen for some non-integers, not all."""
+    trace = _trace()
 
-    An algebraic integer has integer traces, so a trace of a or of a^2
-    that is not an integer answers None at once. Otherwise the
-    coefficients of _power_dependence are primitive with a positive lead,
-    and the monic polynomial, which is them divided by the lead, is
-    integral exactly when that lead is 1 (Gauss's lemma).
-    """
-    trace = _trace()  # 2 Tr(basis_i)
-    for power in (a, a * a):
-        if sum(map(mul, trace, power.nums)) % (2 * power.den):
-            return None
-    coeffs, _ = _power_dependence(a)
-    return coeffs if coeffs[-1] == 1 else None
+    def integral(p: FieldElement) -> bool:
+        return sum(map(mul, trace, p.nums)) % p.den == 0
+
+    return integral(a) and integral(a * a)
 
 
 def is_algebraic_integer(a: FieldElement) -> bool:
     """True when the monic minimal polynomial has integer coefficients."""
-    return _integral_minimal_polynomial(a) is not None
+    return _integral_traces(a) and minimal_polynomial(a).is_algebraic_integer
 
 
 def is_unit(a: FieldElement) -> bool:
     """True for algebraic integers whose norm is +-1, i.e. whose monic
     minimal polynomial has integer coefficients and constant term +-1."""
-    coeffs = _integral_minimal_polynomial(a)
-    return coeffs is not None and abs(coeffs[0]) == 1
+    return _integral_traces(a) and minimal_polynomial(a).is_unit
 
 
 def palindrome_reduce(p: RatPoly) -> RatPoly:

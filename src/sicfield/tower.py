@@ -20,12 +20,13 @@ one positive denominator, a product contracts them with the structure
 tensor of basis products, and conjugation and the Galois automorphisms
 are integer 16x16 matrices (Automorphism). The trace is one integer
 linear functional, read off the tensor's diagonal. The minimal polynomial
-of a comes from the traces of its powers by Newton's identities, checked
-exactly against those powers, and the inverse of a from its constant
-term and the same powers. Those powers apply multiplication by a, an
-integer matrix like an automorphism's, whose columns are read off the
-tensor as the powers first need them and kept, so each later power costs
-one matrix-vector product instead of a contraction with the tensor.
+of a comes from the integer traces of the powers of den(a) a by Newton's
+identities with exact division, checked exactly against the powers of a,
+and the inverse of a from its constant term and the same powers. Those
+powers apply multiplication by a, an integer matrix like an
+automorphism's, whose columns are read off the tensor as the powers
+first need them and kept, so each later power costs one matrix-vector
+product instead of a contraction with the tensor.
 
 u embeds as the unit-modulus complex number
 (sqrt5 - 1)/(2 sqrt2) + i sqrt(sqrt5 + 1)/2 and r as the real number
@@ -352,40 +353,35 @@ _ONE = _make((1,) + (0,) * 15, 1)
 
 @lru_cache(maxsize=1)
 def _trace() -> tuple[int, ...]:
-    """2 Tr(basis_i) for each i: the trace of multiplication by basis_i
-    is the sum over j of the e_j coefficient of basis_i * basis_j, read
-    doubled off the structure tensor."""
-    return tuple(sum(dict(row[j]).get(j, 0) for j in range(16)) for row in _structure())
+    """Tr(basis_i) for each i: the trace of multiplication by basis_i is
+    the sum over j of the e_j coefficient of basis_i * basis_j, which the
+    structure tensor holds doubled."""
+    return tuple(sum(dict(row[j]).get(j, 0) for j in range(16)) // 2 for row in _structure())
 
 
-def _from_power_sums(sums: Sequence[tuple[int, int]], den: int) -> list[int]:
-    """Primitive integer coefficients, lowest power first, of the monic
-    polynomial of degree n = len(sums) whose roots have the power sums
-    p_k = (x_k / y_k) / den^k, (x_k, y_k) = sums[k - 1].
+def _from_power_sums(sums: Sequence[int], den: int) -> list[int] | None:
+    """Primitive integer coefficients, lowest power first, of the
+    polynomial of degree n = len(sums) whose roots times den have the
+    integer power sums P_k = sums[k - 1], or None when those roots times
+    den are not the roots of a monic integer polynomial.
 
-    Newton's identities k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) p_i run in
-    integers, with no division: lift clears the denominators y_k, so with
-    Q = den * lift, P_k = p_k Q^k and E_k = k! Q^k e_k are integers and
-    E_k = sum_i (-1)^(i-1) (k-1)!/(k-i)! E_(k-i) P_i. The coefficient of
-    t^(n-k) is (-1)^k e_k; times n! Q^n it is (-1)^k E_k n!/k! Q^(n-k).
+    Newton's identities k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) P_i give
+    the elementary symmetric functions e_k of the roots times den, each
+    by exact division by k. The roots' polynomial then has the
+    coefficient (-1)^(n-j) e_(n-j) den^j at t^j, over den^n.
     """
     n = len(sums)
-    lift = lcm(*(y // gcd(x, y) for x, y in sums))
-    p = [x * lift**k // y for k, (x, y) in enumerate(sums, 1)]
     e = [1]
     for k in range(1, n + 1):
-        acc, falling = 0, 1
+        acc = 0
         for i in range(1, k + 1):
-            term = falling * e[k - i] * p[i - 1]
+            term = e[k - i] * sums[i - 1]
             acc += term if i % 2 else -term
-            falling *= k - i
-        e.append(acc)
-    coeffs = [0] * (n + 1)
-    weight = 1
-    for k in range(n, -1, -1):
-        coeffs[n - k] = -e[k] * weight if k % 2 else e[k] * weight
-        weight *= k * den * lift
-    return _primitive(coeffs)
+        e_k, rest = divmod(acc, k)
+        if rest:
+            return None
+        e.append(e_k)
+    return _primitive([(-1) ** (n - j) * e[n - j] * den**j for j in range(n + 1)])
 
 
 def _apply(columns: Sequence[Sequence[tuple[int, int]] | None],
@@ -419,12 +415,15 @@ def _power_dependence(a: FieldElement) -> tuple[list[int], list[FieldElement]]:
     This rests on [Q(u, r):Q] = 16. In a field of degree 16 the
     characteristic polynomial of multiplication by a is m^(16/n), where m
     is the minimal polynomial of a and n, its degree, divides 16. So the
-    roots of m have the power sums p_k = (n/16) Tr(a^k), and no polynomial
-    of lower degree annihilates a. At n = 1, 2, 4, 8, 16 in turn the
-    candidate is the polynomial with those power sums, and the first one
-    with sum q_k a^k = 0, checked exactly, is m. Because of that check a
-    wrong trace or an arithmetic slip raises instead of returning a
-    polynomial that does not annihilate a.
+    roots of m times den(a) have the power sums (n/16) Tr(b^k), b = den(a) a,
+    and no polynomial of lower degree annihilates a. b is an integer
+    combination of basis elements, algebraic integers as u, r and c are,
+    so these are integers. At n = 1, 2, 4, 8, 16 in turn, skipping an n
+    where they are not, the candidate is the polynomial with those power
+    sums (_from_power_sums), and the first one with sum q_k a^k = 0,
+    checked exactly, is m. Because of that check a wrong trace or an
+    arithmetic slip raises instead of returning a polynomial that does
+    not annihilate a.
 
     Multiplication by a is one integer linear map, so each power after a
     is that map applied to the one before, sum_i x_i column_i over its
@@ -440,11 +439,7 @@ def _power_dependence(a: FieldElement) -> tuple[list[int], list[FieldElement]]:
     powers = [_ONE]
     times_a: list[tuple[tuple[int, int], ...] | None] = [None] * 16
     nonzero = [(j, y) for j, y in enumerate(a.nums) if y]
-    # Tr(a^k) den^k as a fraction. den a is an integer combination of the
-    # basis, whose elements are algebraic integers, so at the degree of a
-    # (n/16) Tr(a^k) den^k is a power sum of algebraic integers, an
-    # integer, and _from_power_sums needs no lift
-    traces: list[tuple[int, int]] = []
+    traces: list[int] = []  # Tr(b^k), k = 1, 2, ...
     for n in (1, 2, 4, 8, 16):
         while len(powers) <= n:
             if len(powers) > 1:
@@ -455,10 +450,14 @@ def _power_dependence(a: FieldElement) -> tuple[list[int], list[FieldElement]]:
                 power = _reduced(_apply(times_a, last.nums), 2 * last.den * a.den)
             else:
                 power = a
-            traces.append((sum(map(mul, trace, power.nums)) * a.den ** len(powers),
-                           2 * power.den))
+            traces.append(sum(map(mul, trace, power.nums)) * a.den ** len(powers)
+                          // power.den)
             powers.append(power)
-        q = _from_power_sums([(n * x, 16 * y) for x, y in traces[:n]], a.den)
+        if any(n * t % 16 for t in traces[:n]):
+            continue
+        q = _from_power_sums([n * t // 16 for t in traces[:n]], a.den)
+        if q is None:
+            continue
         common = lcm(*(p.den for p in powers))
         scaled = [c * (common // p.den) for c, p in zip(q, powers)]
         if not any(sum(map(mul, scaled, column)) for column in zip(*(p.nums for p in powers))):

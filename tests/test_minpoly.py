@@ -12,6 +12,7 @@ from conftest import field_elements, nonzero_field_elements, small_fractions
 from reference import minimal_polynomial as reference_minimal_polynomial
 from sicfield import tower
 from sicfield.expressions import evaluate_expression
+from sicfield.galois import generate_group, standard_generators
 from sicfield.minpoly import (
     is_algebraic_integer,
     is_unit,
@@ -163,7 +164,7 @@ class TestAgainstReference:
         # each element's powers have a u coordinate, so the wrong Tr(u)
         # reaches its power sums; the exact check must refuse every candidate
         wrong = list(tower._trace())
-        wrong[1] += 2
+        wrong[1] += 1
         monkeypatch.setattr(tower, "_trace", lambda: tuple(wrong))
         for a in (constant("u"), constant("tau"), BASES[16][0], generic_element(3, 4, 3)):
             with pytest.raises(AssertionError, match="no candidate"):
@@ -230,6 +231,48 @@ class TestAgainstReference:
         assert elapsed < 0.5
 
 
+def power_sums(coeffs: list[int]) -> list[int]:
+    """The power sums P_1..P_n of the roots of the monic polynomial with
+    these coefficients, lowest power first, by the forward Newton
+    identities P_k = sum_(i<k) (-1)^(i-1) e_i P_(k-i) + (-1)^(k-1) k e_k."""
+    n = len(coeffs) - 1
+    e = [(-1) ** i * coeffs[n - i] for i in range(n + 1)]
+    sums: list[int] = []
+    for k in range(1, n + 1):
+        total = sum((-1) ** (i - 1) * e[i] * sums[k - i - 1] for i in range(1, k))
+        sums.append(total + (-1) ** (k - 1) * k * e[k])
+    return sums
+
+
+class TestNewton:
+    @given(st.integers(min_value=1, max_value=16).flatmap(
+               lambda n: st.lists(st.integers(-20, 20), min_size=n, max_size=n)),
+           st.integers(min_value=1, max_value=9))
+    @example(lower=list(range(-8, 8)), den=9)
+    @settings(max_examples=60, deadline=None)
+    def test_power_sums_round_trip(self, lower, den):
+        # the roots of M over den are the roots of M(den t)
+        coeffs = lower + [1]
+        scaled = RatPoly(c * den**j for j, c in enumerate(coeffs)).primitive()
+        assert RatPoly(tower._from_power_sums(power_sums(coeffs), den)) == scaled
+
+    def test_a_fractional_elementary_symmetric_function_is_refused(self):
+        # P_1 = 0 and P_2 = 1 give e_2 = (e_1 P_1 - P_2) / 2 = -1/2
+        assert tower._from_power_sums([0, 1], 1) is None
+
+
+class TestTrace:
+    @given(field_elements())
+    @settings(max_examples=30, deadline=None)
+    def test_is_the_sum_of_the_galois_conjugates(self, a):
+        # Tr(a) is the sum of the 16 images of a, a route that does not
+        # read the structure tensor's diagonal
+        group = generate_group(list(standard_generators().values()))
+        conjugates = sum((g.apply(a) for g in group), FieldElement.zero())
+        assert len(group) == 16
+        assert Fraction(sum(map(mul, tower._trace(), a.nums)), a.den) == conjugates
+
+
 def integral_elements() -> st.SearchStrategy[FieldElement]:
     """Integer coordinates: sums of basis elements, all algebraic integers."""
     return st.builds(FieldElement, st.lists(st.integers(-3, 3), min_size=16, max_size=16))
@@ -277,7 +320,7 @@ class TestIntegralityAndUnits:
     def test_trace_screen(self, text, integral_traces, integral, unit):
         # the traces of a and a^2 screen out some non-integers, not all
         a = evaluate_expression(text)
-        traces = [Fraction(sum(map(mul, tower._trace(), p.nums)), 2 * p.den)
+        traces = [Fraction(sum(map(mul, tower._trace(), p.nums)), p.den)
                   for p in (a, a * a)]
         assert all(t.denominator == 1 for t in traces) == integral_traces
         assert is_algebraic_integer(a) == integral
