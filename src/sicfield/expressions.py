@@ -43,9 +43,11 @@ __all__ = [
 MAX_NESTING = 100
 
 #: largest numerator or denominator, in bits, that evaluation builds; with
-#: integer coordinates of this size the minimal polynomial takes about 0.2 s
-#: at degree 8 and 3 s at degree 16, the inverse 0.2 s and 4 s (2-core VM),
-#: and both grow about threefold with each doubling
+#: integer coordinates of this size the minimal polynomial takes about
+#: 0.2 s at degree 8 and 2-3.5 s at degree 16, the inverse on its own
+#: 0.2 s and 3-4 s, and the inverse of an element whose minimal polynomial
+#: is already known 0.03 s and 0.4 s (2-core VM, Python 3.11); at half
+#: this size each takes 35-55 % as long
 MAX_VALUE_BITS = 8192
 
 

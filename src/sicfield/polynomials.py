@@ -64,6 +64,9 @@ class RatPoly:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("RatPoly is immutable")
 
+    def __reduce__(self):
+        return RatPoly, (self.coeffs,)
+
     @classmethod
     def zero(cls) -> RatPoly:
         return cls(())

@@ -26,7 +26,10 @@ and the inverse of a from its constant term and the same powers. Those
 powers apply multiplication by a, an integer matrix like an
 automorphism's, whose columns are read off the tensor as the powers
 first need them and kept, so each later power costs one matrix-vector
-product instead of a contraction with the tensor.
+product instead of a contraction with the tensor. Elements are
+immutable, so the checked polynomial and powers are kept on the element:
+its minimal polynomial, inverse and unit and integrality tests share one
+computation.
 
 u embeds as the unit-modulus complex number
 (sqrt5 - 1)/(2 sqrt2) + i sqrt(sqrt5 + 1)/2 and r as the real number
@@ -144,7 +147,9 @@ class FieldElement:
     numerators and den is 1, so equal elements have equal fields.
     """
 
-    __slots__ = ("nums", "den")
+    # _dependence: what _power_dependence found for this element, once it
+    # has been checked; unset until then
+    __slots__ = ("nums", "den", "_dependence")
 
     nums: tuple[int, ...]
     den: int
@@ -158,6 +163,9 @@ class FieldElement:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("FieldElement is immutable")
+
+    def __reduce__(self):
+        return _make, (self.nums, self.den)
 
     # -- constructors -------------------------------------------------
 
@@ -318,6 +326,7 @@ class FieldElement:
 
 _SET_NUMS = FieldElement.nums.__set__
 _SET_DEN = FieldElement.den.__set__
+_SET_DEPENDENCE = FieldElement._dependence.__set__
 
 
 def _make(nums: tuple[int, ...], den: int) -> FieldElement:
@@ -408,7 +417,7 @@ def _column(i: int, nonzero: Sequence[tuple[int, int]]) -> tuple[tuple[int, int]
     return _sparse(out)
 
 
-def _power_dependence(a: FieldElement) -> tuple[list[int], list[FieldElement]]:
+def _power_dependence(a: FieldElement) -> tuple[tuple[int, ...], list[FieldElement]]:
     """Integer coefficients q_0..q_n of the minimal polynomial of a, so
     that q_0 + q_1 a + ... + q_n a^n = 0, and the powers 1, a, ..., a^n.
 
@@ -434,7 +443,17 @@ def _power_dependence(a: FieldElement) -> tuple[list[int], list[FieldElement]]:
     after that takes at most 256 multiply-adds instead of 848; an element of low
     degree, whose powers stay in a subfield, fills only the columns its
     powers use.
+
+    FieldElement is immutable, so the result depends on a alone. The
+    call that passes the exact check keeps q and the powers a^2..a^n on
+    a, as tuples, and every later call on a returns them without
+    recomputing. a itself is not kept among its powers, so an element
+    holds no reference to itself and is freed by reference counting; a
+    call that raises keeps nothing.
     """
+    if _dependence_known(a):
+        q, higher = a._dependence
+        return q, [_ONE, a, *higher]
     trace = _trace()
     powers = [_ONE]
     times_a: list[tuple[tuple[int, int], ...] | None] = [None] * 16
@@ -461,8 +480,16 @@ def _power_dependence(a: FieldElement) -> tuple[list[int], list[FieldElement]]:
         common = lcm(*(p.den for p in powers))
         scaled = [c * (common // p.den) for c, p in zip(q, powers)]
         if not any(sum(map(mul, scaled, column)) for column in zip(*(p.nums for p in powers))):
+            q = tuple(q)
+            _SET_DEPENDENCE(a, (q, tuple(powers[2:])))
             return q, powers
     raise AssertionError("no candidate annihilates the element within the tower degree")
+
+
+def _dependence_known(a: FieldElement) -> bool:
+    """Whether _power_dependence has already found and checked the
+    minimal polynomial of a, so that asking again costs nothing."""
+    return hasattr(a, "_dependence")
 
 
 # -- automorphisms ----------------------------------------------------------------
@@ -501,6 +528,9 @@ class Automorphism:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Automorphism is immutable")
+
+    def __reduce__(self):
+        return _automorphism, (self.cols, self.den)
 
     @classmethod
     def identity(cls) -> Automorphism:
@@ -560,9 +590,14 @@ def _matrix(columns: Sequence[Sequence[int]], den: int) -> Automorphism:
     """The map with these integer columns over den > 0, in lowest terms;
     nothing checks that it is multiplicative."""
     g = gcd(den, *(x for col in columns for x in col))
+    return _automorphism(tuple(_sparse([x // g for x in col]) for col in columns), den // g)
+
+
+def _automorphism(cols: tuple[tuple[tuple[int, int], ...], ...], den: int) -> Automorphism:
+    """The map with these sparse columns over den, already in lowest terms."""
     m = object.__new__(Automorphism)
-    object.__setattr__(m, "cols", tuple(_sparse([x // g for x in col]) for col in columns))
-    object.__setattr__(m, "den", den // g)
+    object.__setattr__(m, "cols", cols)
+    object.__setattr__(m, "den", den)
     return m
 
 

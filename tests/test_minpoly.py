@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+import sys
 import time
 from fractions import Fraction
 from functools import reduce
@@ -141,6 +144,12 @@ def generic_element(seed: int, numerator_bits: int, denominator_bits: int) -> Fi
     ])
 
 
+def fresh_copies(*elements: FieldElement) -> list[FieldElement]:
+    """Equal elements built anew from coordinates, which hold no
+    dependence kept from an earlier call."""
+    return [FieldElement(a.coords) for a in elements]
+
+
 class TestAgainstReference:
     @pytest.mark.parametrize("degree", sorted(BASES))
     @given(pick=st.integers(min_value=0, max_value=4),
@@ -162,11 +171,14 @@ class TestAgainstReference:
 
     def test_a_wrong_trace_raises(self, monkeypatch):
         # each element's powers have a u coordinate, so the wrong Tr(u)
-        # reaches its power sums; the exact check must refuse every candidate
+        # reaches its power sums; the exact check must refuse every candidate.
+        # Shared constants keep a dependence found by an earlier test, so
+        # the checks run on fresh equal copies, which must read the trace
         wrong = list(tower._trace())
         wrong[1] += 1
         monkeypatch.setattr(tower, "_trace", lambda: tuple(wrong))
-        for a in (constant("u"), constant("tau"), BASES[16][0], generic_element(3, 4, 3)):
+        for a in fresh_copies(constant("u"), constant("tau"), BASES[16][0],
+                              generic_element(3, 4, 3)):
             with pytest.raises(AssertionError, match="no candidate"):
                 minimal_polynomial(a)
             with pytest.raises(AssertionError, match="no candidate"):
@@ -214,7 +226,9 @@ class TestAgainstReference:
             return col
 
         monkeypatch.setattr(tower, "_column", corrupt)
-        for a in (constant("u"), constant("tau"), BASES[16][0], generic_element(3, 4, 3)):
+        # fresh copies, as above, so that the corrupt column is read
+        for a in fresh_copies(constant("u"), constant("tau"), BASES[16][0],
+                              generic_element(3, 4, 3)):
             with pytest.raises(AssertionError, match="no candidate"):
                 minimal_polynomial(a)
             with pytest.raises(AssertionError, match="no candidate"):
@@ -338,6 +352,115 @@ class TestIntegralityAndUnits:
         result = minimal_polynomial(a)
         assert is_algebraic_integer(a) == result.is_algebraic_integer
         assert is_unit(a) == result.is_unit
+
+
+class TestKeptDependence:
+    """The checked power dependence is kept on the element it was found
+    for: one computation serves the minimal polynomial, the inverse and
+    the unit and integrality tests, with results equal to a fresh
+    element's."""
+
+    def test_computed_once(self, monkeypatch):
+        reads = []
+        trace = tower._trace
+
+        def counted():
+            reads.append(1)
+            return trace()
+
+        monkeypatch.setattr(tower, "_trace", counted)
+        for a in fresh_copies(constant("u3"), BASES[16][0], generic_element(5, 8, 4),
+                              constant("sqrt5") / 2):
+            reads.clear()
+            minimal_polynomial(a)
+            assert len(reads) == 1
+            is_unit(a)
+            is_algebraic_integer(a)
+            a.inverse()
+            assert len(reads) == 1
+
+    @given(st.one_of(nonzero_field_elements(), integral_elements(), unit_products(),
+                     unit_products().map(lambda e: e / 2)))
+    @example(constant("sqrt5") / 2)
+    @example(constant("u1") / 3)
+    @example(FieldElement.zero())
+    @settings(max_examples=30, deadline=None)
+    def test_results_match_a_fresh_element(self, a):
+        def results(e):
+            inverse = e.inverse() if e else None
+            return minimal_polynomial(e), is_unit(e), is_algebraic_integer(e), inverse
+
+        kept, fresh = fresh_copies(a, a)
+        first = results(kept)
+        assert results(kept) == first
+        assert results(fresh) == first
+
+    @given(st.one_of(field_elements(), integral_elements(), unit_products(),
+                     unit_products().map(lambda e: e / 2)))
+    @example(constant("u1") / 3)
+    @settings(max_examples=30, deadline=None)
+    def test_is_unit_before_or_after_the_minimal_polynomial(self, a):
+        before, after = fresh_copies(a, a)
+        unit = is_unit(before)
+        integral = is_algebraic_integer(before)
+        minimal_polynomial(before)
+        minimal_polynomial(after)
+        assert is_unit(after) == unit
+        assert is_algebraic_integer(after) == integral
+        assert is_unit(before) == unit
+
+    def test_equality_hash_and_immutability(self):
+        kept, fresh = fresh_copies(BASES[16][0], BASES[16][0])
+        half, = fresh_copies(FieldElement.from_rational(Fraction(1, 2)))
+        for a in (kept, half):
+            minimal_polynomial(a)
+            a.inverse()
+        assert kept == fresh and hash(kept) == hash(fresh)
+        assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+        for name in ("nums", "den", "_dependence"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(kept, name, None)
+
+    def test_no_reference_cycle(self):
+        # a is not kept among its own powers, so it is still freed by
+        # reference counting
+        a, = fresh_copies(BASES[16][0])
+        count = sys.getrefcount(a)
+        minimal_polynomial(a)
+        a.inverse()
+        assert sys.getrefcount(a) == count
+
+    def test_kept_powers_cannot_be_changed(self):
+        a, = fresh_copies(constant("u"))
+        q, powers = tower._power_dependence(a)
+        powers.append(a)
+        assert tower._power_dependence(a)[1] == powers[:-1]
+        assert isinstance(q, tuple)
+
+
+def copiers():
+    return [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy]
+
+
+class TestPickleAndCopy:
+    @pytest.mark.parametrize("copier", copiers(), ids=["pickle", "copy", "deepcopy"])
+    def test_round_trips(self, copier):
+        g = standard_generators()["g4"]
+        mp = minimal_polynomial(constant("u3"))
+        for value in (constant("u3"), FieldElement.from_rational(Fraction(-3, 7)),
+                      mp, mp.primitive, RatPoly(()), g, g * g):
+            other = copier(value)
+            assert type(other) is type(value)
+            assert other == value and hash(other) == hash(value)
+        assert copier(g).apply(constant("u")) == g.apply(constant("u"))
+
+    def test_the_kept_dependence_is_not_pickled(self):
+        kept, fresh = fresh_copies(BASES[16][0], BASES[16][0])
+        minimal_polynomial(kept)
+        assert pickle.dumps(kept) == pickle.dumps(fresh)
+        for other in (pickle.loads(pickle.dumps(kept)), copy.deepcopy(kept)):
+            assert not tower._dependence_known(other)
+            assert minimal_polynomial(other) == minimal_polynomial(kept)
 
 
 class TestPalindromeReduce:
