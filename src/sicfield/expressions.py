@@ -284,7 +284,11 @@ def _evaluate(node: Node) -> FieldElement:
         if n < 0:
             base, n = base.inverse(), -n
         # the bits of base^n grow about n-fold: refuse a power far over the
-        # bound before computing it, and one just over it after
+        # bound before computing it, and one just over it after; the
+        # estimate is at least n, so a larger n is refused without printing it
+        if n > MAX_VALUE_BITS:
+            raise ValueError(f"a power with exponent over {MAX_VALUE_BITS} exceeds "
+                             f"the {MAX_VALUE_BITS}-bit bound")
         _check_size(n * max(1, _bits(base)))
         value = base**n
         _check_size(_bits(value))

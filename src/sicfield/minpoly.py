@@ -4,11 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Sequence
 
 from .polynomials import RatPoly, palindromic_lift
-from .tower import FieldElement, _dependence_known, _power_dependence, _trace
+from .tower import FieldElement, _power_dependence
 
 __all__ = [
     "MinimalPolynomial",
@@ -52,36 +51,22 @@ class MinimalPolynomial:
 def minimal_polynomial(a: FieldElement) -> MinimalPolynomial:
     """Minimal polynomial of a over Q, from the integer traces of the
     powers of den(a) a by Newton's identities with exact division
-    (tower._power_dependence, which FieldElement.inverse also reads and
-    which runs once per element). Its degree divides 16."""
+    (tower._power_dependence, which runs once per element; the inverse
+    and the unit and integrality tests read the same result). Its
+    degree divides 16."""
     coeffs, _ = _power_dependence(a)
     return MinimalPolynomial(RatPoly(coeffs))
 
 
-def _passes_trace_screen(a: FieldElement) -> bool:
-    """Whether Tr(a) and then Tr(a^2) are integers, as they are for an
-    algebraic integer: a cheap screen for some non-integers, not all.
-    Once the minimal polynomial of a is known it answers at no cost, so
-    the screen and its product are skipped."""
-    if _dependence_known(a):
-        return True
-    trace = _trace()
-
-    def integral(p: FieldElement) -> bool:
-        return sum(map(mul, trace, p.nums)) % p.den == 0
-
-    return integral(a) and integral(a * a)
-
-
 def is_algebraic_integer(a: FieldElement) -> bool:
     """True when the monic minimal polynomial has integer coefficients."""
-    return _passes_trace_screen(a) and minimal_polynomial(a).is_algebraic_integer
+    return minimal_polynomial(a).is_algebraic_integer
 
 
 def is_unit(a: FieldElement) -> bool:
     """True for algebraic integers whose norm is +-1, i.e. whose monic
     minimal polynomial has integer coefficients and constant term +-1."""
-    return _passes_trace_screen(a) and minimal_polynomial(a).is_unit
+    return minimal_polynomial(a).is_unit
 
 
 def palindrome_reduce(p: RatPoly) -> RatPoly:

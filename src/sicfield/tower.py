@@ -203,11 +203,6 @@ class FieldElement:
     def is_rational(self) -> bool:
         return not any(self.nums[1:])
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("element is not rational")
-        return Fraction(self.nums[0], self.den)
-
     # -- ring structure --------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -305,7 +300,7 @@ class FieldElement:
 
     def conjugate(self) -> FieldElement:
         """Complex conjugation: u maps to 1/u, r is real and fixed."""
-        return _conjugation()._image(self)
+        return _conjugation().apply(self)
 
     # -- display -----------------------------------------------------------
 
@@ -541,18 +536,15 @@ class Automorphism:
 
     @property
     def image_u(self) -> FieldElement:
-        return self._image(_U)
+        return self.apply(_U)
 
     @property
     def image_r(self) -> FieldElement:
-        return self._image(_R)
-
-    def _image(self, elem: FieldElement) -> FieldElement:
-        return _reduced(_apply(self.cols, elem.nums), self.den * elem.den)
+        return self.apply(_R)
 
     def apply(self, elem: FieldElement) -> FieldElement:
         """Image of a field element under the automorphism."""
-        return self._image(elem)
+        return _reduced(_apply(self.cols, elem.nums), self.den * elem.den)
 
     def __mul__(self, other: Automorphism) -> Automorphism:
         """Composition, other first: (self * other)(e) = self(other(e))."""
@@ -601,7 +593,7 @@ def _automorphism(cols: tuple[tuple[tuple[int, int], ...], ...], den: int) -> Au
     return m
 
 
-def _from_images(images: Sequence[FieldElement]) -> Automorphism:
+def _linear_map(images: Sequence[FieldElement]) -> Automorphism:
     """The linear map sending basis element m to images[m], unchecked."""
     den = lcm(*(e.den for e in images))
     return _matrix([[n * (den // e.den) for n in e.nums] for e in images], den)
@@ -613,8 +605,8 @@ def _substitution(image_u: FieldElement, image_r: FieldElement) -> Automorphism 
     powers = [_ONE]
     for _ in range(7):
         powers.append(powers[-1] * image_u)
-    m = _from_images(powers + [p * image_r for p in powers])
-    if image_u * powers[7] != m._image(_U**8) or image_r * image_r != m._image(_R * _R):
+    m = _linear_map(powers + [p * image_r for p in powers])
+    if image_u * powers[7] != m.apply(_U**8) or image_r * image_r != m.apply(_R * _R):
         return None
     return m
 
@@ -642,7 +634,7 @@ def substitute(elem: FieldElement, image_u: FieldElement,
                image_r: FieldElement) -> FieldElement:
     """The image of elem under the automorphism u -> image_u, r -> image_r;
     ValueError when the images do not define one."""
-    return Automorphism(image_u, image_r)._image(elem)
+    return Automorphism(image_u, image_r).apply(elem)
 
 
 def substitute_with_powers(elem: FieldElement,
@@ -650,7 +642,7 @@ def substitute_with_powers(elem: FieldElement,
                            image_r: FieldElement) -> FieldElement:
     """The linear map u^k r^e -> u_powers[k] image_r^e applied to elem,
     with the powers image_u^0..image_u^7 given and no relation check."""
-    return _from_images(list(u_powers) + [p * image_r for p in u_powers])._image(elem)
+    return _linear_map(list(u_powers) + [p * image_r for p in u_powers]).apply(elem)
 
 
 def defining_relations_hold(image_u: FieldElement,

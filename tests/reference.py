@@ -22,10 +22,20 @@ the powers by Newton's identities instead.
 `render_number` is the earlier `sicfield.cli.render_number`, which
 picked a conversion by type and read an mpmath value through a 25-digit
 string, for the one that rounds the exact rational once.
+
+`dense_displacement` and `dense_reconstruction` build the d = 4
+displacements and the SIC projector as products and sums of dense 4 x 4
+matrices, for `sicfield.sic4.reconstruct_projector`, which reads each
+displacement's one nonzero entry per column instead.
+
+`reduce_mod` is polynomial long division by a monic modulus, for the
+structure tensor that `sicfield.tower.FieldElement.__mul__` contracts
+with instead.
 """
 
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -33,7 +43,8 @@ import numpy as np
 from sicfield.search import (
     ARMIJO, MAX_HALVINGS, MEMORY, MIN_DECREASE, residual_gradient, sic_residual,
 )
-from sicfield.tower import FieldElement
+from sicfield.matrices import dagger, mat_mul
+from sicfield.tower import FieldElement, constant
 
 
 def normalize(psi):
@@ -154,3 +165,50 @@ def render_number(value):
         else:
             dec = Decimal(mpmath.nstr(value, 25))
         return str(ctx.plus(dec))
+
+
+def _scaled_identity(s):
+    zero = FieldElement.zero()
+    return tuple(tuple(s if a == b else zero for b in range(4)) for a in range(4))
+
+
+@lru_cache(maxsize=None)
+def dense_displacement(i, j):
+    """Exact tau^(ij) X^i Z^j as a product of dense matrices."""
+    one, zero, tau = FieldElement.one(), FieldElement.zero(), constant("tau")
+    shift = tuple(tuple(one if a == (b + 1) % 4 else zero for b in range(4))
+                  for a in range(4))
+    clock = tuple(tuple(constant("i") ** a if a == b else zero for b in range(4))
+                  for a in range(4))
+    out = _scaled_identity(tau ** (i * j))
+    for _ in range(i):
+        out = mat_mul(out, shift)
+    for _ in range(j):
+        out = mat_mul(out, clock)
+    return out
+
+
+def dense_reconstruction(phases):
+    """(1/4)(I + (1/sqrt5) sum phases(i, j) D(i, j)^dagger), term by term."""
+    inv_sqrt5 = constant("sqrt5") / 5
+    acc = _scaled_identity(FieldElement.one())
+    for i in range(4):
+        for j in range(4):
+            if (i, j) != (0, 0):
+                s = phases[i][j] * inv_sqrt5
+                term = dagger(dense_displacement(i, j))
+                acc = tuple(tuple(x + s * y for x, y in zip(ra, rt))
+                            for ra, rt in zip(acc, term))
+    return tuple(tuple(x / 4 for x in row) for row in acc)
+
+
+def reduce_mod(coeffs, modulus):
+    """The remainder of a polynomial on division by a monic one, both
+    given lowest power first, as deg(modulus) Fractions."""
+    out = [Fraction(c) for c in coeffs]
+    n = len(modulus) - 1
+    for k in range(len(out) - 1, n - 1, -1):
+        c = out[k]
+        for i, m in enumerate(modulus):
+            out[k - n + i] -= c * m
+    return out[:n] + [Fraction(0)] * (n - len(out))

@@ -169,6 +169,15 @@ class TestMinpoly:
         assert err.count("\n") == 1
         assert "8192-bit bound" in err
 
+    def test_refusal_does_not_echo_an_unbounded_estimate(self, capsys):
+        # the estimate of u^n is n bits, here a 130000-digit number
+        code, out, err = run_cli(capsys, "minpoly", "u^" + "9" * 130000)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "8192-bit bound" in err
+        assert len(err.encode()) < 200
+
     def test_integers_past_the_string_digit_limit_print(self, capsys):
         # the minimal polynomial has coefficients of more than 4300 digits
         code, reports = run_json(capsys, "minpoly", "(u+r/3)^1500")

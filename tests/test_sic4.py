@@ -1,8 +1,8 @@
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 import pytest
+from reference import dense_displacement, dense_reconstruction
 
 from sicfield import matrices
 from sicfield.sic4 import (
@@ -20,32 +20,6 @@ from sicfield.sic4 import (
 from sicfield.tower import FieldElement, constant, embed
 
 NONTRIVIAL = [(i, j) for i in range(4) for j in range(4) if (i, j) != (0, 0)]
-
-
-@lru_cache(maxsize=None)
-def dense_displacement(i, j):
-    """Exact tau^(ij) X^i Z^j as a product of dense matrices."""
-    one, zero, tau = FieldElement.one(), FieldElement.zero(), constant("tau")
-    shift = tuple(tuple(one if a == (b + 1) % 4 else zero for b in range(4))
-                  for a in range(4))
-    clock = tuple(tuple(constant("i") ** a if a == b else zero for b in range(4))
-                  for a in range(4))
-    out = matrices.mat_scale(tau ** (i * j), matrices.identity(4))
-    for _ in range(i):
-        out = matrices.mat_mul(out, shift)
-    for _ in range(j):
-        out = matrices.mat_mul(out, clock)
-    return out
-
-
-def dense_reconstruction(phases):
-    """(1/4)(I + (1/sqrt5) sum phases(i, j) D(i, j)^dagger), term by term."""
-    inv_sqrt5 = constant("sqrt5") / 5
-    acc = matrices.identity(4)
-    for i, j in NONTRIVIAL:
-        term = matrices.dagger(dense_displacement(i, j))
-        acc = matrices.mat_add(acc, matrices.mat_scale(phases[i][j] * inv_sqrt5, term))
-    return matrices.mat_scale(FieldElement.from_rational(Fraction(1, 4)), acc)
 
 
 class TestAgainstDenseReference:
