@@ -9,7 +9,7 @@ cli modules wrap both in a small language and a command line tool.
 numpy and mpmath load on first use (see _lazy), not on import.
 """
 
-from .expressions import ExpressionError, evaluate_expression, format_expression, parse_expression
+from .expressions import ExpressionError, evaluate_expression, parse_expression
 from .galois import (
     Automorphism,
     StructureCertificate,
@@ -70,7 +70,6 @@ __all__ = [
     "extract_phases",
     "fiducial_projector",
     "fixed_subfield_check",
-    "format_expression",
     "generate_group",
     "is_algebraic_integer",
     "is_unit",

@@ -9,15 +9,17 @@ Subcommands:
     search        numerical fiducial search in a chosen dimension
     discriminant  (d - 3)(d + 1) and its squarefree part
 
-Every subcommand accepts --json for machine-readable reports, --config
-FILE to preload option defaults from a JSON object, and --precision
-{double, extended} to choose how approximate values are computed.
-Reports are objects with the four fields check, status, details, and
-category; numbers in them are rendered to 12 significant digits with
-ties going to even. Exit status is 0 when every check passes, 1 when
-any check fails, 2 for usage or parse errors (search values out of
-range and expressions whose value would exceed MAX_VALUE_BITS included),
-and 141 when the reader of the output closes it early.
+Every subcommand accepts --json for machine-readable reports and
+--config FILE to preload option defaults from a JSON object; minpoly,
+galois and units, whose reports carry approximate values of field
+elements, also accept --precision {double, extended} to choose how
+those values are computed. Reports are objects with the four fields
+check, status, details, and category; numbers in them are rendered to
+12 significant digits with ties going to even. Exit status is 0 when
+every check passes, 1 when any check fails, 2 for usage or parse errors
+(search values out of range and expressions whose value would exceed
+MAX_VALUE_BITS included), and 141 when the reader of the output closes
+it early.
 """
 
 from __future__ import annotations
@@ -263,11 +265,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit reports as a JSON array")
-    common.add_argument("--precision", choices=("double", "extended"),
-                        default="double",
-                        help="how approximate values are computed")
     common.add_argument("--config", metavar="FILE",
                         help="JSON object with option defaults")
+    # only the subcommands that print a field element's approximate value
+    approx = argparse.ArgumentParser(add_help=False)
+    approx.add_argument("--precision", choices=("double", "extended"),
+                        default="double",
+                        help="how approximate values are computed")
 
     parser = argparse.ArgumentParser(
         prog="sicfield",
@@ -281,16 +285,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    help="negate one phase first, as a negative control")
     p.set_defaults(func=cmd_verify_d4)
 
-    p = subs.add_parser("minpoly", parents=[common],
+    p = subs.add_parser("minpoly", parents=[common, approx],
                         help="minimal polynomial of a field expression")
     p.add_argument("expression")
     p.set_defaults(func=cmd_minpoly)
 
-    p = subs.add_parser("galois", parents=[common],
+    p = subs.add_parser("galois", parents=[common, approx],
                         help="Galois group census and certification")
     p.set_defaults(func=cmd_galois)
 
-    p = subs.add_parser("units", parents=[common],
+    p = subs.add_parser("units", parents=[common, approx],
                         help="audit the phases and the named units")
     p.set_defaults(func=cmd_units)
 
@@ -299,10 +303,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = subs.add_parser("search", parents=[common],
                         help="numerical fiducial search")
     p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=1e-10)
-    p.add_argument("--max-iterations", type=int, default=20_000)
+    p.add_argument("--restarts", type=int, default=SearchConfig.restarts)
+    p.add_argument("--seed", type=int, default=SearchConfig.rng_seed)
+    p.add_argument("--tolerance", type=float, default=SearchConfig.tolerance)
+    p.add_argument("--max-iterations", type=int,
+                   default=SearchConfig.max_iterations)
     p.set_defaults(func=cmd_search)
 
     p = subs.add_parser("discriminant", parents=[common],

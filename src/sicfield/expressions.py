@@ -35,7 +35,6 @@ __all__ = [
     "Pow",
     "parse_expression",
     "evaluate_expression",
-    "format_expression",
 ]
 
 #: deepest nesting of "(" and unary "-" the parser accepts; each level
@@ -302,56 +301,3 @@ def _evaluate(node: Node) -> FieldElement:
         return value
     raise TypeError(f"not an expression node: {node!r}")
 
-
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
-
-# a rendering that ends in a bare integer atom would swallow a
-# following "/ int" into a rational literal; integers after "^" or the
-# inner slash of a literal are already spoken for and stay safe
-_RISKY_INT_TAIL = re.compile(r"(?:^|[\s(-])\d+$")
-
-
-def _merges_across_slash(left_text: str, right_text: str) -> bool:
-    return bool(_RISKY_INT_TAIL.search(left_text)) and right_text[:1].isdigit()
-
-
-def _level(node: Node) -> int:
-    if isinstance(node, BinOp):
-        return _PRECEDENCE[node.op]
-    if isinstance(node, (Unary, Pow)):
-        return 3
-    return 4
-
-
-def format_expression(node: Node) -> str:
-    """Render an AST back to source that reparses at the same shape."""
-    if isinstance(node, Literal):
-        return str(node.value)
-    if isinstance(node, Name):
-        return node.name
-    if isinstance(node, Unary):
-        inner = format_expression(node.operand)
-        if not isinstance(node.operand, (Literal, Name, Unary)):
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, Pow):
-        base = format_expression(node.base)
-        if not isinstance(node.base, (Literal, Name)):
-            base = f"({base})"
-        return f"{base}^{node.exponent}"
-    if isinstance(node, BinOp):
-        chain = _left_chain(node)
-        text = format_expression(chain[-1].left)
-        for link in reversed(chain):
-            me = _PRECEDENCE[link.op]
-            left = f"({text})" if _level(link.left) < me else text
-            right = format_expression(link.right)
-            # the grammar associates left, so a same-level right child
-            # needs parentheses to come back in the same shape
-            if _level(link.right) <= me or (
-                link.op == "/" and _merges_across_slash(left, right)
-            ):
-                right = f"({right})"
-            text = f"{left} {link.op} {right}"
-        return text
-    raise TypeError(f"not an expression node: {node!r}")

@@ -31,6 +31,14 @@ displacement's one nonzero entry per column instead.
 `reduce_mod` is polynomial long division by a monic modulus, for the
 structure tensor that `sicfield.tower.FieldElement.__mul__` contracts
 with instead.
+
+`scaled_identity`, `scale`, `mat_vec` and `inner` are the plain matrix
+and vector operations the exact-operator tests need besides the
+products, daggers and traces that `sicfield.sic4` itself uses.
+
+`parenthesized` renders an expression tree with every operand in
+parentheses, for the parser to read back: it needs no precedence rules
+and no care for the rational literal a bare "int / int" would be.
 """
 
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
@@ -43,6 +51,7 @@ import numpy as np
 from sicfield.search import (
     ARMIJO, MAX_HALVINGS, MEMORY, MIN_DECREASE, residual_gradient, sic_residual,
 )
+from sicfield.expressions import BinOp, Literal, Name, Pow, Unary
 from sicfield.matrices import dagger, mat_mul
 from sicfield.tower import FieldElement, constant
 
@@ -167,9 +176,23 @@ def render_number(value):
         return str(ctx.plus(dec))
 
 
-def _scaled_identity(s):
+def scaled_identity(s):
     zero = FieldElement.zero()
     return tuple(tuple(s if a == b else zero for b in range(4)) for a in range(4))
+
+
+def scale(s, m):
+    return tuple(tuple(s * x for x in row) for row in m)
+
+
+def mat_vec(m, v):
+    return tuple(sum((x * y for x, y in zip(row, v)), FieldElement.zero())
+                 for row in m)
+
+
+def inner(v, w):
+    """Hermitian inner product, conjugate-linear in the first slot."""
+    return sum((x.conjugate() * y for x, y in zip(v, w)), FieldElement.zero())
 
 
 @lru_cache(maxsize=None)
@@ -180,7 +203,7 @@ def dense_displacement(i, j):
                   for a in range(4))
     clock = tuple(tuple(constant("i") ** a if a == b else zero for b in range(4))
                   for a in range(4))
-    out = _scaled_identity(tau ** (i * j))
+    out = scaled_identity(tau ** (i * j))
     for _ in range(i):
         out = mat_mul(out, shift)
     for _ in range(j):
@@ -191,7 +214,7 @@ def dense_displacement(i, j):
 def dense_reconstruction(phases):
     """(1/4)(I + (1/sqrt5) sum phases(i, j) D(i, j)^dagger), term by term."""
     inv_sqrt5 = constant("sqrt5") / 5
-    acc = _scaled_identity(FieldElement.one())
+    acc = scaled_identity(FieldElement.one())
     for i in range(4):
         for j in range(4):
             if (i, j) != (0, 0):
@@ -212,3 +235,18 @@ def reduce_mod(coeffs, modulus):
         for i, m in enumerate(modulus):
             out[k - n + i] -= c * m
     return out[:n] + [Fraction(0)] * (n - len(out))
+
+
+def parenthesized(node):
+    """Source text for an expression tree, each operand in parentheses."""
+    if isinstance(node, Literal):
+        return str(node.value)
+    if isinstance(node, Name):
+        return node.name
+    if isinstance(node, Unary):
+        return f"-({parenthesized(node.operand)})"
+    if isinstance(node, Pow):
+        return f"({parenthesized(node.base)})^{node.exponent}"
+    if isinstance(node, BinOp):
+        return f"({parenthesized(node.left)}) {node.op} ({parenthesized(node.right)})"
+    raise TypeError(f"not an expression node: {node!r}")

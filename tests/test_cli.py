@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+from dataclasses import fields
 
 import mpmath
 import numpy as np
@@ -12,8 +13,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from reference import render_number as reference_render_number
 
-from sicfield.cli import EXIT_BROKEN_PIPE, main, render_number
+from sicfield.cli import EXIT_BROKEN_PIPE, build_parser, main, render_number
 from sicfield.expressions import evaluate_expression
+from sicfield.search import SearchConfig
 
 DOUBLES = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -439,18 +441,23 @@ class TestConfig:
     def test_badly_typed_value_exits_2(self, capsys, tmp_path, key, value):
         config = tmp_path / "options.json"
         config.write_text(json.dumps({key: value}))
-        code, out, err = run_cli(capsys, "search", "--dim", "2", "--restarts", "1",
-                                 "--config", str(config))
+        # search takes no --precision
+        argv = (["units"] if key == "precision"
+                else ["search", "--dim", "2", "--restarts", "1"])
+        code, out, err = run_cli(capsys, *argv, "--config", str(config))
         assert code == 2
         assert out == ""
         assert repr(key) in err
 
     def test_values_read_as_on_the_command_line(self, capsys, tmp_path):
         config = tmp_path / "options.json"
-        config.write_text(json.dumps({"dim": "5", "precision": "extended"}))
+        config.write_text(json.dumps({"dim": "5"}))
         code, reports = run_json(capsys, "discriminant", "--config", str(config))
         assert code == 0
         assert reports[0]["details"]["value"] == 12
+        config.write_text(json.dumps({"precision": "extended"}))
+        assert run_json(capsys, "units", "--config", str(config)) == run_json(
+            capsys, "units", "--precision", "extended")
 
     def test_negative_seed_in_config_exits_2(self, capsys, tmp_path):
         config = tmp_path / "options.json"
@@ -476,6 +483,43 @@ class TestConfig:
         code, _, err = run_cli(capsys, "discriminant", "--dim", "4",
                                "--config", str(tmp_path / "absent.json"))
         assert code == 2
+
+
+class TestOptionSurface:
+    # --precision only where a report carries a field element's
+    # approximate value
+    @pytest.mark.parametrize("argv, code", [
+        (["minpoly", "u"], 0),
+        (["galois"], 0),
+        (["units"], 0),
+        (["verify-d4"], 2),
+        (["search", "--dim", "3"], 2),
+        (["discriminant", "--dim", "5"], 2),
+    ])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_precision_only_where_it_changes_the_report(self, capsys, tmp_path,
+                                                        argv, code, via):
+        if via == "flag":
+            option = ["--precision", "extended"]
+            refusal = "sicfield: error: unrecognized arguments: --precision extended"
+        else:
+            config = tmp_path / "options.json"
+            config.write_text(json.dumps({"precision": "extended"}))
+            option = ["--config", str(config)]
+            refusal = "sicfield: error: unknown config keys: precision"
+        status, out, err = run_cli(capsys, *argv, *option, "--json")
+        assert status == code
+        if code == 2:
+            assert out == ""
+            assert [line for line in err.splitlines() if "error:" in line] == [refusal]
+
+    def test_search_defaults_are_the_config_defaults(self):
+        parser, _ = build_parser()
+        args = parser.parse_args(["search"])
+        defaults = {f.name: f.default for f in fields(SearchConfig)}
+        assert (args.restarts, args.seed, args.tolerance, args.max_iterations) == (
+            defaults["restarts"], defaults["rng_seed"], defaults["tolerance"],
+            defaults["max_iterations"])
 
 
 class TestParsing:

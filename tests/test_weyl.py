@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from reference import dense_displacement, inner, mat_vec, scale, scaled_identity
 
 from sicfield import matrices
 from sicfield.tower import FieldElement, constant, embed
@@ -30,21 +31,6 @@ def reference_displacement(d, i, j):
     return tau ** (i * j) * (
         np.linalg.matrix_power(shift, i % d) @ np.linalg.matrix_power(clock, j % d)
     )
-
-
-def reference_displacement_exact(i, j):
-    """Exact tau^(ij) X^i Z^j at d = 4, by matrix products."""
-    one, zero, tau = FieldElement.one(), FieldElement.zero(), constant("tau")
-    shift = tuple(tuple(one if a == (b + 1) % 4 else zero for b in range(4))
-                  for a in range(4))
-    clock = tuple(tuple(tau ** (2 * a) if a == b else zero for b in range(4))
-                  for a in range(4))
-    out = matrices.mat_scale(tau ** (i * j % 8), matrices.identity(4))
-    for _ in range(i % 4):
-        out = matrices.mat_mul(out, shift)
-    for _ in range(j % 4):
-        out = matrices.mat_mul(out, clock)
-    return out
 
 
 class TestAgainstReference:
@@ -76,7 +62,7 @@ class TestAgainstReference:
     def test_exact_matches_exact_reference(self):
         for i in range(4):
             for j in range(4):
-                assert displacement_exact(i, j) == reference_displacement_exact(i, j)
+                assert displacement_exact(i, j) == dense_displacement(i, j)
 
     def test_exact_orbit_matches_reference(self):
         psi = (constant("u"), constant("r"), FieldElement.from_rational(3),
@@ -84,7 +70,7 @@ class TestAgainstReference:
         vectors = orbit_exact(psi)
         for i in range(4):
             for j in range(4):
-                expected = matrices.mat_vec(reference_displacement_exact(i, j), psi)
+                expected = mat_vec(dense_displacement(i, j), psi)
                 assert vectors[i * 4 + j] == expected
 
     # the reference's matrix powers drift from the exact tau^e by up to
@@ -193,13 +179,13 @@ class TestExactOperators:
     def test_exact_commutation(self):
         shift, clock = clock_shift_exact()
         lhs = matrices.mat_mul(clock, shift)
-        rhs = matrices.mat_scale(constant("i"), matrices.mat_mul(shift, clock))
+        rhs = scale(constant("i"), matrices.mat_mul(shift, clock))
         assert lhs == rhs
 
     def test_exact_displacement_11(self):
         tau = constant("tau")
         shift, clock = clock_shift_exact()
-        expected = matrices.mat_scale(tau, matrices.mat_mul(shift, clock))
+        expected = scale(tau, matrices.mat_mul(shift, clock))
         assert displacement_exact(1, 1) == expected
 
     def test_exact_matches_numeric_everywhere(self):
@@ -212,7 +198,7 @@ class TestExactOperators:
                         assert abs(embed(exact[a][b]) - numeric[a, b]) < 1e-12
 
     def test_fourth_power_is_identity(self):
-        eye = matrices.identity(4)
+        eye = scaled_identity(FieldElement.one())
         for i in range(4):
             for j in range(4):
                 m = displacement_exact(i, j)
@@ -224,7 +210,7 @@ class TestExactOperators:
             for j in range(4):
                 sign = displacement_dagger_sign(4, i, j)
                 lhs = matrices.dagger(displacement_exact(i, j))
-                rhs = matrices.mat_scale(
+                rhs = scale(
                     FieldElement.from_rational(sign),
                     displacement_exact((-i) % 4, (-j) % 4),
                 )
@@ -248,11 +234,11 @@ class TestExactOrbit:
             constant("tau") * half,
             FieldElement.from_rational(half),
         )
-        assert matrices.inner(psi, psi) == 1
+        assert inner(psi, psi) == 1
         vectors = orbit_exact(psi)
         assert len(vectors) == 16
         for v in vectors:
-            assert matrices.inner(v, v) == 1
+            assert inner(v, v) == 1
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
