@@ -6,87 +6,83 @@ Q(u, r) with rational coordinates, so every identity it reports is a
 theorem, not a float coincidence. The numerical layer (search) runs
 the general-dimension fiducial search with numpy. The expressions and
 cli modules wrap both in a small language and a command line tool.
-numpy and mpmath load on first use (see _lazy), not on import.
+
+Importing the package runs none of its submodules: each is registered
+in sys.modules (see _lazy) and runs when one of its names is first
+read, as numpy and mpmath do. So `sicfield galois` runs galois, tower
+and polynomials; `verify-d4` and `units` run sic4 and what it imports
+(minpoly, tower, polynomials, weyl, matrices); none of the three runs
+search or expressions, or imports numpy, mpmath or dataclasses.
 """
 
-from .expressions import ExpressionError, evaluate_expression, parse_expression
-from .galois import (
-    Automorphism,
-    StructureCertificate,
-    action_table,
-    certify_structure,
-    fixed_subfield_check,
-    generate_group,
-    order_census,
-    standard_generators,
-)
-from .minpoly import (
-    MinimalPolynomial,
-    is_algebraic_integer,
-    is_unit,
-    minimal_polynomial,
-    palindrome_reduce,
-    verify_split,
-)
-from .polynomials import RatPoly, palindromic_lift
-from .search import SearchConfig, SearchResult, extract_phases, known_fiducial, search, sic_residual
-from .sic4 import (
-    PhaseAudit,
-    canonical_phase_matrix,
-    discriminant,
-    fiducial_projector,
-    phase_unit_audit,
-    reconstruct_projector,
-    verify_sic_projector,
-)
-from .tower import CONSTANT_NAMES, FieldElement, U_MIN_POLY, X_MIN_POLY, constant, embed
-from .weyl import clock_shift, displacement, displacement_exact, orbit, orbit_exact
+from ._lazy import lazy_import
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Automorphism",
-    "CONSTANT_NAMES",
-    "ExpressionError",
-    "FieldElement",
-    "MinimalPolynomial",
-    "PhaseAudit",
-    "RatPoly",
-    "SearchConfig",
-    "SearchResult",
-    "StructureCertificate",
-    "U_MIN_POLY",
-    "X_MIN_POLY",
-    "action_table",
-    "canonical_phase_matrix",
-    "certify_structure",
-    "clock_shift",
-    "constant",
-    "discriminant",
-    "displacement",
-    "displacement_exact",
-    "embed",
-    "evaluate_expression",
-    "extract_phases",
-    "fiducial_projector",
-    "fixed_subfield_check",
-    "generate_group",
-    "is_algebraic_integer",
-    "is_unit",
-    "known_fiducial",
-    "minimal_polynomial",
-    "orbit",
-    "orbit_exact",
-    "order_census",
-    "palindrome_reduce",
-    "palindromic_lift",
-    "parse_expression",
-    "phase_unit_audit",
-    "reconstruct_projector",
-    "search",
-    "sic_residual",
-    "standard_generators",
-    "verify_sic_projector",
-    "verify_split",
-    "__version__",
-]
+#: each public name and the submodule that defines it
+_HOME = {
+    "Automorphism": "tower",
+    "CONSTANT_NAMES": "tower",
+    "ExpressionError": "expressions",
+    "FieldElement": "tower",
+    "MinimalPolynomial": "minpoly",
+    "PhaseAudit": "sic4",
+    "RatPoly": "polynomials",
+    "SearchConfig": "search",
+    "SearchResult": "search",
+    "StructureCertificate": "galois",
+    "U_MIN_POLY": "tower",
+    "X_MIN_POLY": "tower",
+    "action_table": "galois",
+    "canonical_phase_matrix": "sic4",
+    "certify_structure": "galois",
+    "clock_shift": "weyl",
+    "constant": "tower",
+    "discriminant": "sic4",
+    "displacement": "weyl",
+    "displacement_exact": "weyl",
+    "embed": "tower",
+    "evaluate_expression": "expressions",
+    "extract_phases": "search",
+    "fiducial_projector": "sic4",
+    "fixed_subfield_check": "galois",
+    "generate_group": "galois",
+    "is_algebraic_integer": "minpoly",
+    "is_unit": "minpoly",
+    "known_fiducial": "search",
+    "minimal_polynomial": "minpoly",
+    "orbit": "weyl",
+    "orbit_exact": "weyl",
+    "order_census": "galois",
+    "palindrome_reduce": "minpoly",
+    "palindromic_lift": "polynomials",
+    "parse_expression": "expressions",
+    "phase_unit_audit": "sic4",
+    "reconstruct_projector": "sic4",
+    "search": "search",
+    "sic_residual": "search",
+    "standard_generators": "galois",
+    "verify_sic_projector": "sic4",
+    "verify_split": "minpoly",
+}
+
+__all__ = [*_HOME, "__version__"]
+
+# cli is left out: `python -m sicfield.cli` must find it unimported. A
+# registered submodule is never bound on the package, so `search` stays
+# the function even after `import sicfield.search`.
+_SUBMODULES = {name: lazy_import(f"{__name__}.{name}") for name in (
+    "polynomials", "linalg", "tower", "minpoly", "galois", "matrices", "weyl",
+    "sic4", "search", "expressions")}
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        return getattr(_SUBMODULES[_HOME[name]], name)
+    if name in _SUBMODULES:
+        return _SUBMODULES[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME, *_SUBMODULES})

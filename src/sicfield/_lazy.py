@@ -1,10 +1,12 @@
-"""numpy and mpmath, loaded on first use rather than at import.
+"""Modules loaded on first use rather than at import.
 
-Each module is registered in sys.modules when sicfield is imported, but
-its code runs only when one of its attributes is first read, so the
-exact commands, which never read one, start without paying for either.
-numpy is read by the search and the numeric helpers. mpmath is read
-only by --precision extended and embed(..., dps=...): a default-precision
+A registered module is put in sys.modules at once, but its code runs
+only when one of its attributes is first read. numpy and mpmath are
+registered here, and the package registers its own submodules, so a
+command runs only the modules whose names it reads: verify-d4, galois
+and units run neither library, nor search or expressions. numpy is read
+by the search and the numeric helpers. mpmath is read only by
+--precision extended and embed(..., dps=...): a default-precision
 embed that the double bound does not certify falls back to an exact
 integer sum, with an integer-checked bound, not to mpmath.
 """

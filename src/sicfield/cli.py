@@ -33,28 +33,11 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from typing import Any
 
+# the layers are registered, not run, by the package; each handler runs
+# only the ones it reads (search is imported in its handler, since the
+# package's name search is the function)
+from . import expressions, galois, minpoly, sic4, tower
 from ._lazy import mpmath
-from .expressions import evaluate_expression
-from .galois import (
-    action_table,
-    certify_structure,
-    fixed_subfield_check,
-    generate_group,
-    is_abelian,
-    standard_generators,
-)
-from .minpoly import minimal_polynomial
-from .search import SearchConfig, search
-from .sic4 import (
-    canonical_phase_matrix,
-    discriminant,
-    hermiticity_symmetry_holds,
-    phase_unit_audit,
-    phases_in_inner_field,
-    reconstruct_projector,
-    verify_sic_projector,
-)
-from .tower import FieldElement, constant, embed
 
 EXTENDED_DPS = 50
 
@@ -85,11 +68,11 @@ def render_complex(value: Any) -> str:
     return f"{re} {sign} {im.lstrip('-')}i"
 
 
-def serialize_element(elem: FieldElement, precision: str) -> dict:
+def serialize_element(elem: tower.FieldElement, precision: str) -> dict:
     # a double beyond the float range gives way to the EXTENDED_DPS value
-    z = None if precision == "extended" else embed(elem)
+    z = None if precision == "extended" else tower.embed(elem)
     if z is None or not cmath.isfinite(z):
-        z = embed(elem, EXTENDED_DPS)
+        z = tower.embed(elem, EXTENDED_DPS)
     approx = {"re": render_number(z.real), "im": render_number(z.imag)}
     return {"coords": [str(c) for c in elem.coords], "approx": approx}
 
@@ -107,21 +90,21 @@ def make_report(check: str, passed: bool, details: dict | None = None) -> dict:
 
 
 def cmd_verify_d4(args: argparse.Namespace) -> list[dict]:
-    phases = canonical_phase_matrix(negate_entry=args.corrupt)
+    phases = sic4.canonical_phase_matrix(negate_entry=args.corrupt)
     reports = [
-        make_report("hermiticity_symmetry", hermiticity_symmetry_holds(phases)),
-        make_report("phases_in_inner_field", phases_in_inner_field(phases)),
+        make_report("hermiticity_symmetry", sic4.hermiticity_symmetry_holds(phases)),
+        make_report("phases_in_inner_field", sic4.phases_in_inner_field(phases)),
     ]
-    projector = reconstruct_projector(phases)
-    for check in verify_sic_projector(projector):
+    projector = sic4.reconstruct_projector(phases)
+    for check in sic4.verify_sic_projector(projector):
         details = {"note": check.detail} if check.detail else {}
         reports.append(make_report(check.name, check.passed, details))
     return reports
 
 
 def cmd_minpoly(args: argparse.Namespace) -> list[dict]:
-    elem = evaluate_expression(args.expression)
-    result = minimal_polynomial(elem)
+    elem = expressions.evaluate_expression(args.expression)
+    result = minpoly.minimal_polynomial(elem)
     details = {
         "expression": args.expression,
         "element": serialize_element(elem, args.precision),
@@ -136,14 +119,14 @@ def cmd_minpoly(args: argparse.Namespace) -> list[dict]:
 
 
 def cmd_galois(args: argparse.Namespace) -> list[dict]:
-    generators = standard_generators()
-    group = generate_group(list(generators.values()))
-    cert = certify_structure(group)
+    generators = galois.standard_generators()
+    group = galois.generate_group(list(generators.values()))
+    cert = galois.certify_structure(group)
     census = cert.census
-    inner = generate_group([generators[k] for k in ("g1", "g2", "g3")])
-    columns = {name: constant(name)
+    inner = galois.generate_group([generators[k] for k in ("g1", "g2", "g3")])
+    columns = {name: tower.constant(name)
                for name in ("sqrt5", "sqrt2", "isqrt_sqrt5p1", "i", "tau")}
-    rows = action_table(list(generators.values()), columns)
+    rows = galois.action_table(list(generators.values()), columns)
     actions = {
         name: {
             col: serialize_element(value, args.precision)
@@ -158,7 +141,7 @@ def cmd_galois(args: argparse.Namespace) -> list[dict]:
         make_report("order_census", census == {1: 1, 2: 11, 4: 4},
                     {"census": {str(k): v for k, v in sorted(census.items())}}),
         make_report("abelian_inner_subgroup",
-                    len(inner) == 8 and is_abelian(inner),
+                    len(inner) == 8 and galois.is_abelian(inner),
                     {"order": len(inner)}),
         make_report("structure_certificate", cert.certified, {
             "isomorphism_type": cert.isomorphism_type,
@@ -166,8 +149,8 @@ def cmd_galois(args: argparse.Namespace) -> list[dict]:
             "dihedral_generators": cert.dihedral_generators,
         }),
         make_report("inner_subgroup_fixes_sqrt5",
-                    fixed_subfield_check(inner, constant("sqrt5"))
-                    and not fixed_subfield_check(group, constant("sqrt5"))),
+                    galois.fixed_subfield_check(inner, tower.constant("sqrt5"))
+                    and not galois.fixed_subfield_check(group, tower.constant("sqrt5"))),
         make_report("generator_actions", True, {"actions": actions}),
     ]
     return reports
@@ -175,7 +158,7 @@ def cmd_galois(args: argparse.Namespace) -> list[dict]:
 
 def cmd_units(args: argparse.Namespace) -> list[dict]:
     reports = []
-    for audit in phase_unit_audit():
+    for audit in sic4.phase_unit_audit():
         i, j = audit.index
         reports.append(make_report(
             f"phase_{i}{j}", audit.unit_modulus and audit.algebraic_unit,
@@ -186,8 +169,8 @@ def cmd_units(args: argparse.Namespace) -> list[dict]:
             },
         ))
     for name in ("u1", "u2", "u3", "u4", "u5"):
-        elem = constant(name)
-        result = minimal_polynomial(elem)
+        elem = tower.constant(name)
+        result = minpoly.minimal_polynomial(elem)
         reports.append(make_report(
             f"unit_{name}", result.is_unit,
             {
@@ -201,16 +184,17 @@ def cmd_units(args: argparse.Namespace) -> list[dict]:
 
 
 def cmd_search(args: argparse.Namespace) -> list[dict]:
+    from .search import SearchConfig, search
+
     if args.dim is None:
         raise ValueError("--dim is required")
-    config = SearchConfig(
-        dimension=args.dim,
-        restarts=args.restarts,
-        max_iterations=args.max_iterations,
-        tolerance=args.tolerance,
-        rng_seed=args.seed,
-    )
-    result = search(config)
+    # an option not given is absent from args, and SearchConfig's own
+    # default applies
+    options = {field: getattr(args, dest) for dest, field in (
+        ("restarts", "restarts"), ("seed", "rng_seed"),
+        ("tolerance", "tolerance"), ("max_iterations", "max_iterations"),
+    ) if hasattr(args, dest)}
+    result = search(SearchConfig(dimension=args.dim, **options))
     target = 2 * args.dim / (args.dim + 1)
     details = {
         "dimension": result.dimension,
@@ -237,7 +221,7 @@ def cmd_search(args: argparse.Namespace) -> list[dict]:
 def cmd_discriminant(args: argparse.Namespace) -> list[dict]:
     if args.dim is None:
         raise ValueError("--dim is required")
-    result = discriminant(args.dim)
+    result = sic4.discriminant(args.dim)
     if not args.json:
         print(f"(d - 3)(d + 1) = {result.value}, "
               f"squarefree part {result.squarefree_part}")
@@ -303,11 +287,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = subs.add_parser("search", parents=[common],
                         help="numerical fiducial search")
     p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=SearchConfig.restarts)
-    p.add_argument("--seed", type=int, default=SearchConfig.rng_seed)
-    p.add_argument("--tolerance", type=float, default=SearchConfig.tolerance)
-    p.add_argument("--max-iterations", type=int,
-                   default=SearchConfig.max_iterations)
+    # no defaults here, so that parsing needs no search module: the
+    # handler passes on only the options given
+    p.add_argument("--restarts", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--tolerance", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--max-iterations", type=int, default=argparse.SUPPRESS)
     p.set_defaults(func=cmd_search)
 
     p = subs.add_parser("discriminant", parents=[common],
@@ -375,7 +360,11 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     parser, registry = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            # refused by the subcommand, whose usage lists what it takes
+            registry[args.command].error(
+                f"unrecognized arguments: {' '.join(extra)}")
         if getattr(args, "config", None):
             args = _apply_config(parser, registry, argv, args)
     except SystemExit as exit_:

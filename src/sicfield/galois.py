@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Collection, Mapping, Sequence
+from typing import Callable, Collection, Mapping, NamedTuple, Sequence
 
 from .tower import (
     _R_INVERSE,
@@ -133,8 +132,7 @@ def is_normal(group: Sequence[Automorphism],
     )
 
 
-@dataclass(frozen=True)
-class StructureCertificate:
+class StructureCertificate(NamedTuple):
     """Evidence that a group of order 16 is Z2 x D8.
 
     The census separates candidates, the dihedral subgroup with its

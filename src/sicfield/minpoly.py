@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .polynomials import RatPoly, palindromic_lift
 from .tower import FieldElement, _power_dependence
@@ -20,8 +19,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MinimalPolynomial:
+class MinimalPolynomial(NamedTuple):
     """A minimal polynomial in primitive integer form: content 1, lead positive."""
 
     primitive: RatPoly

@@ -12,10 +12,10 @@ trace one, equal overlaps 1/5) is checkable with exact arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from typing import NamedTuple
 
 from . import matrices
 from ._lazy import np
@@ -44,8 +44,7 @@ __all__ = [
 _NONTRIVIAL = tuple((i, j) for i in range(4) for j in range(4) if (i, j) != (0, 0))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -155,8 +154,7 @@ def phases_in_inner_field(phases: Matrix | None = None) -> bool:
     return all(phases[i][j].r_part.is_zero() for i, j in _NONTRIVIAL)
 
 
-@dataclass(frozen=True)
-class PhaseAudit:
+class PhaseAudit(NamedTuple):
     index: tuple[int, int]
     unit_modulus: bool
     algebraic_unit: bool
@@ -187,8 +185,7 @@ def embedded_projector(proj: Matrix | None = None) -> np.ndarray:
     return np.array([[embed(entry) for entry in row] for row in proj])
 
 
-@dataclass(frozen=True)
-class Discriminant:
+class Discriminant(NamedTuple):
     dimension: int
     value: int
     squarefree_part: int

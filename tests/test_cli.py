@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from reference import render_number as reference_render_number
 
-from sicfield.cli import EXIT_BROKEN_PIPE, build_parser, main, render_number
+from sicfield.cli import EXIT_BROKEN_PIPE, main, render_number
 from sicfield.expressions import evaluate_expression
 from sicfield.search import SearchConfig
 
@@ -501,7 +501,8 @@ class TestOptionSurface:
                                                         argv, code, via):
         if via == "flag":
             option = ["--precision", "extended"]
-            refusal = "sicfield: error: unrecognized arguments: --precision extended"
+            # refused by the subcommand's own parser
+            refusal = f"sicfield {argv[0]}: error: unrecognized arguments: --precision extended"
         else:
             config = tmp_path / "options.json"
             config.write_text(json.dumps({"precision": "extended"}))
@@ -512,14 +513,29 @@ class TestOptionSurface:
         if code == 2:
             assert out == ""
             assert [line for line in err.splitlines() if "error:" in line] == [refusal]
+            if via == "flag":
+                assert err.startswith(f"usage: sicfield {argv[0]} [-h]")
 
-    def test_search_defaults_are_the_config_defaults(self):
-        parser, _ = build_parser()
-        args = parser.parse_args(["search"])
+    def test_search_defaults_are_the_config_defaults(self, capsys, tmp_path):
+        # an option left out takes SearchConfig's default, so giving every
+        # default as a flag prints the same bytes
         defaults = {f.name: f.default for f in fields(SearchConfig)}
-        assert (args.restarts, args.seed, args.tolerance, args.max_iterations) == (
-            defaults["restarts"], defaults["rng_seed"], defaults["tolerance"],
-            defaults["max_iterations"])
+        explicit = []
+        for flag, name in (("--restarts", "restarts"), ("--seed", "rng_seed"),
+                           ("--tolerance", "tolerance"),
+                           ("--max-iterations", "max_iterations")):
+            explicit += [flag, str(defaults[name])]
+        bare = run_cli(capsys, "search", "--dim", "3", "--json")
+        assert bare[0] == 0
+        assert run_cli(capsys, "search", "--dim", "3", *explicit, "--json") == bare
+        # a config value changes the run, and loses to an explicit flag
+        config = tmp_path / "options.json"
+        config.write_text(json.dumps({"seed": 5, "restarts": 2}))
+        configured = run_cli(capsys, "search", "--dim", "3", "--config", str(config),
+                             "--json")
+        assert configured[0] == 0 and configured[1] != bare[1]
+        assert run_cli(capsys, "search", "--dim", "3", "--config", str(config),
+                       *explicit, "--json") == bare
 
 
 class TestParsing:
@@ -530,6 +546,16 @@ class TestParsing:
     def test_no_subcommand_exits_2(self, capsys):
         code, _, _ = run_cli(capsys)
         assert code == 2
+
+    # an option the subcommand does not take is reported with the
+    # subcommand's usage, which lists the options it does take
+    def test_unknown_option_shows_the_subcommand_usage(self, capsys):
+        code, out, err = run_cli(capsys, "verify-d4", "--bogus")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "usage: sicfield verify-d4 [-h] [--json] [--config FILE] [--corrupt I,J]",
+            "sicfield verify-d4: error: unrecognized arguments: --bogus",
+        ]
 
     def test_help_exits_0(self, capsys):
         code, out, _ = run_cli(capsys, "--help")

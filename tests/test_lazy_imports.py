@@ -1,13 +1,17 @@
-"""numpy and mpmath load on first use, and the package surface stays put.
+"""numpy, mpmath and the package's own modules load on first use, and
+the package surface stays put.
 
 The exact commands run in fresh interpreters here, because only a fresh
 interpreter shows what importing and running them loads: the test
 process itself has imported numpy long before.
 """
 
+import copy
+import importlib
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -20,20 +24,28 @@ import pytest
 import sicfield
 from sicfield._lazy import lazy_import
 from sicfield.cli import main, render_number
+from sicfield.sic4 import CheckResult, PhaseAudit
 
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
 EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
 ENV = dict(os.environ, PYTHONPATH=str(Path(sicfield.__file__).resolve().parents[1]))
 
 # runs the CLI, then reports on stderr which numpy and mpmath
-# submodules the run left in sys.modules
+# submodules the run left in sys.modules, which sicfield modules ran (a
+# registered module that has not run is still a LazyLoader module), and
+# whether dataclasses was imported
 CLI_RUN = """
-import json, sys
+import json, sys, types
 from sicfield.cli import main
 code = main(sys.argv[1:])
 sys.stdout.flush()
-loaded = sorted(m for m in sys.modules if m.startswith(("numpy.", "mpmath.")))
-sys.stderr.write(json.dumps(loaded))
+modules = dict(sys.modules)
+sys.stderr.write(json.dumps({
+    "loaded": sorted(m for m in modules if m.startswith(("numpy.", "mpmath."))),
+    "ran": sorted(name.removeprefix("sicfield.") for name, m in modules.items()
+                  if name.startswith("sicfield.") and type(m) is types.ModuleType),
+    "dataclasses": "dataclasses" in modules,
+}))
 sys.exit(code)
 """
 
@@ -50,7 +62,7 @@ EXACT_COMMANDS = {
 
 
 def run_fresh(argv):
-    """Exit code, stdout bytes and loaded heavy submodules of one run."""
+    """Exit code, stdout bytes and CLI_RUN's report of one run."""
     proc = subprocess.run([sys.executable, "-c", CLI_RUN, *argv], env=ENV,
                           capture_output=True, check=False, timeout=120)
     return proc.returncode, proc.stdout, json.loads(proc.stderr)
@@ -63,8 +75,8 @@ def run_in_process(argv, capsysbinary):
 
 @pytest.mark.parametrize("name", sorted(EXACT_COMMANDS))
 def test_exact_command_loads_neither_library(name, capsysbinary):
-    code, out, loaded = run_fresh(EXACT_COMMANDS[name])
-    assert loaded == []
+    code, out, report = run_fresh(EXACT_COMMANDS[name])
+    assert report["loaded"] == []
     golden = GOLDEN / f"{name}.json"
     if golden.exists():
         assert (code, out) == (EXIT_CODES[name], golden.read_bytes())
@@ -77,27 +89,97 @@ def test_exact_command_loads_neither_library(name, capsysbinary):
     (["minpoly", "1/(u-1)", "--precision", "extended", "--json"], "mpmath."),
 ])
 def test_numeric_command_loads_on_first_use(argv, library, capsysbinary):
-    code, out, loaded = run_fresh(argv)
-    assert any(m.startswith(library) for m in loaded)
+    code, out, report = run_fresh(argv)
+    assert any(m.startswith(library) for m in report["loaded"])
     assert (code, out) == run_in_process(argv, capsysbinary)
+
+
+# the modules each exact audit command must not run; none of them
+# imports dataclasses either
+NOT_RUN = {
+    "verify-d4": {"search", "expressions", "galois"},
+    "verify-d4_corrupt_1-2": {"search", "expressions", "galois"},
+    "galois": {"sic4", "weyl", "matrices", "search", "expressions"},
+    "units": {"search", "expressions", "galois"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_RUN))
+def test_exact_command_runs_only_its_layers(name):
+    _, _, report = run_fresh(EXACT_COMMANDS[name])
+    assert "tower" in report["ran"]
+    assert not NOT_RUN[name] & set(report["ran"])
+    assert not report["dataclasses"]
+
+
+def test_bare_import_runs_no_submodule():
+    script = """
+import sys, types
+import sicfield
+print(*sorted(name for name, m in sys.modules.items()
+              if name.startswith("sicfield.") and type(m) is types.ModuleType))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], env=ENV,
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert proc.stdout.split() == ["sicfield._lazy"]
 
 
 def test_worker_import_keeps_search_bound_to_the_function():
     # bench/worker.py imports the submodule by name and then calls
     # sicfield.search(config); an import that rebinds the package's
-    # `search` to the submodule would fail every search operation
-    script = """
+    # `search` to the submodule would fail every search operation. The
+    # same holds for an import statement, and for a read of the name
+    # before any import.
+    for first in ('importlib.import_module("sicfield.search")',
+                  "import sicfield.search",
+                  "assert inspect.isfunction(sicfield.search)"):
+        script = f"""
 import importlib, inspect
 import sicfield
-importlib.import_module("sicfield.search")
+{first}
 assert inspect.isfunction(sicfield.search), sicfield.search
 config = sicfield.SearchConfig(dimension=3, rng_seed=1, restarts=1)
 print(sicfield.search(config).converged)
 """
-    proc = subprocess.run([sys.executable, "-c", script], env=ENV,
-                          capture_output=True, text=True, check=False, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "True"
+        proc = subprocess.run([sys.executable, "-c", script], env=ENV, capture_output=True,
+                              text=True, check=False, timeout=120)
+        assert proc.returncode == 0, (first, proc.stderr)
+        assert proc.stdout.strip() == "True"
+
+
+@pytest.mark.parametrize("name", sorted(set(sicfield.__all__) - {"__version__"}))
+def test_public_name_is_its_home_modules(name):
+    home = importlib.import_module(f"sicfield.{sicfield._HOME[name]}")
+    assert getattr(sicfield, name) is getattr(home, name)
+
+
+def test_star_import_and_dir_list_every_public_name():
+    namespace = {}
+    exec("from sicfield import *", namespace)
+    assert set(sicfield.__all__) <= set(namespace)
+    assert set(sicfield.__all__) <= set(dir(sicfield))
+    assert {"tower", "search"} <= set(dir(sicfield))
+    assert sicfield.tower is sys.modules["sicfield.tower"]
+
+
+# the five records of the exact path are tuples: each compares equal to
+# the plain tuple of its fields, and pickles and copies as itself
+RECORDS = [
+    CheckResult("trace_one", True, "exact"),
+    PhaseAudit((1, 2), True, True, 4),
+    sicfield.discriminant(7),
+    sicfield.minimal_polynomial(sicfield.constant("u")),
+    sicfield.certify_structure(
+        sicfield.generate_group(list(sicfield.standard_generators().values()))),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_exact_records_are_tuples_that_round_trip(record):
+    assert record == tuple(getattr(record, field) for field in record._fields)
+    for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(copied) is type(record)
+        assert copied == record
 
 
 def test_missing_module_fails_at_import_time():
