@@ -59,27 +59,34 @@ def standard_generators() -> dict[str, Automorphism]:
     }
 
 
-def _closure(identity, generators: Sequence, product: Callable) -> list:
+def _closure(identity, generators: Sequence, product: Callable, act=None, start=None) -> list:
     """The identity and every product(g, x) of a generator g with an
     element x already found, in BFS order, so the generators come first.
-    In a finite group that is the subgroup the generators generate."""
-    elements = [identity]
-    seen = {identity}
-    # the list is the BFS queue: it grows while it is walked
-    for current in elements:
+    In a finite group that is the subgroup the generators generate. With
+    act, start keys the identity and act(g, k) keys product(g, x) from the
+    key k of x, equal exactly when the products are, so product runs once
+    per new element instead of once per pair."""
+    keys, elements = [identity if act is None else start], [identity]
+    seen = set(keys)
+    # the lists are the BFS queue: they grow while they are walked
+    for k, current in zip(keys, elements):
         for g in generators:
-            p = product(g, current)
+            p = product(g, k) if act is None else act(g, k)
             if p not in seen:
                 seen.add(p)
-                elements.append(p)
+                keys.append(p)
+                elements.append(p if act is None else product(g, current))
     return elements
 
 
 def generate_group(generators: Sequence[Automorphism]) -> list[Automorphism]:
     """Closure of the generators under composition, BFS order. Every
     Automorphism is checked when it is built, so the closure is a
-    subgroup of the 16 automorphisms and always ends."""
-    return _closure(Automorphism.identity(), generators, operator.mul)
+    subgroup of the 16 automorphisms and always ends. g * x is keyed by
+    its images g(x(u)), g(x(r)) and composed only when they are new."""
+    return _closure(Automorphism.identity(), generators, operator.mul,
+                    act=lambda g, k: (g.apply(k[0]), g.apply(k[1])),
+                    start=(constant("u"), constant("r")))
 
 
 def multiplication_table(group: Sequence[Automorphism]) -> list[list[int]]:

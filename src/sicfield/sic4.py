@@ -100,20 +100,25 @@ def fiducial_projector() -> Matrix:
     return reconstruct_projector()
 
 
-def overlap(proj: Matrix, i: int, j: int) -> FieldElement:
-    """Tr(Pi D Pi D^dagger) for the displacement at (i, j).
+def _shift_overlaps(proj: Matrix, i: int) -> list[FieldElement]:
+    """Tr(Pi D Pi D^dagger) for D = D(i, j), j = 0..3, for any 4 x 4 Pi.
 
-    D is monomial, D|k> = tau^(e_k) |s(k)>, so the trace is the sum over
-    (w, y) of Pi[s(w)][s(y)] tau^(e_y - e_w) Pi[y][w]: 16 terms instead
-    of two general matrix products.
-    """
-    powers = _tau_powers()
-    pairs = monomial(4, i, j)
-    total = FieldElement.zero()
-    for w, (sw, ew) in enumerate(pairs):
-        for y, (sy, ey) in enumerate(pairs):
-            total = total + proj[sw][sy] * powers[(ey - ew) % 8] * proj[y][w]
-    return total
+    D|k> = tau^(e_k) |k + i>, so the trace sums Pi[w + i][y + i] Pi[y][w]
+    tau^(e_y - e_w) over (w, y), and tau^(e_y - e_w) = tau^(2j(y - w)). With
+    the products summed by m = (y - w) mod 4 into S[m], the overlap at every
+    j is S[0] + (-1)^j S[2] + tau^(2j) (S[1] + (-1)^j S[3]); tau^2 = sqrt(-1)."""
+    sums = [FieldElement.zero()] * 4
+    for w in range(4):
+        for y in range(4):
+            sums[(y - w) % 4] += proj[(w + i) % 4][(y + i) % 4] * proj[y][w]
+    even_a, even_b = sums[0] + sums[2], sums[1] + sums[3]
+    odd_a, odd_b = sums[0] - sums[2], _tau_powers()[2] * (sums[1] - sums[3])
+    return [even_a + even_b, odd_a + odd_b, even_a - even_b, odd_a - odd_b]
+
+
+def overlap(proj: Matrix, i: int, j: int) -> FieldElement:
+    """Tr(Pi D Pi D^dagger) for D = D(i, j); i and j count mod 4."""
+    return _shift_overlaps(proj, i)[j % 4]
 
 
 def verify_sic_projector(proj: Matrix | None = None) -> list[CheckResult]:
@@ -126,8 +131,9 @@ def verify_sic_projector(proj: Matrix | None = None) -> list[CheckResult]:
         CheckResult("idempotent", matrices.mat_mul(proj, proj) == proj),
     ]
     target = FieldElement.from_rational(Fraction(1, 5))
+    table = [_shift_overlaps(proj, i) for i in range(4)]
     for i, j in _NONTRIVIAL:
-        value = overlap(proj, i, j)
+        value = table[i][j]
         ok = value == target
         detail = "" if ok else f"value approx {embed(value):.6g}"
         results.append(CheckResult(f"overlap_{i}{j}", ok, detail))

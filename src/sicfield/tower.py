@@ -115,24 +115,19 @@ def _structure() -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
     u^a r^e * u^b r^f = u^(a+b) r^(e+f), reduced with the octic and with
     r^2 = -1 - c r. c lies in (1/2)Z[u] and nothing else in the rules has
     a denominator, so the doubled entries are integers; 848 of the 4096
-    are nonzero.
-    """
-    table = []
-    for i in range(16):
-        row = []
-        for j in range(16):
-            u_power = _reduce_u([0] * (i % 8 + j % 8) + [1])
-            doubled = [2 * x for x in u_power]
-            r_power = i // 8 + j // 8
-            if r_power == 0:
-                vec = doubled + [0] * 8
-            elif r_power == 1:
-                vec = [0] * 8 + doubled
-            else:
-                vec = [-x for x in doubled] + [-x for x in _reduce_u(_poly_mul(u_power, _C2))]
-            row.append(_sparse(vec))
-        table.append(tuple(row))
-    return tuple(table)
+    are nonzero. An entry depends only on a + b < 15 and e + f < 3, so
+    the 256 entries are 45 vectors: the reduced powers u^n times 1, r
+    and r^2, each u^(n+1) reduced from u times u^n."""
+    products, power = [], [1] + [0] * 7
+    for _ in range(15):
+        doubled = [2 * x for x in power]
+        times_r2 = [-x for x in doubled] + [-x for x in _reduce_u(_poly_mul(power, _C2))]
+        products.append(tuple(map(_sparse, (doubled + [0] * 8, [0] * 8 + doubled, times_r2))))
+        power = _reduce_u([0] + power)
+    return tuple(
+        tuple(products[i % 8 + j % 8][i // 8 + j // 8] for j in range(16))
+        for i in range(16)
+    )
 
 
 # -- elements -----------------------------------------------------------------

@@ -61,7 +61,9 @@ def clock_shift(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def displacement(d: int, i: int, j: int) -> np.ndarray:
-    """D(i, j) = tau^(ij) X^i Z^j, indices taken mod d."""
+    """D(i, j) = tau^(ij) X^i Z^j for any integers i, j. tau^d = (-1)^(d+1):
+    at odd d the indices count mod d, and at even d D(i + d, j) =
+    (-1)^j D(i, j) and D(i, j + d) = (-1)^i D(i, j)."""
     _check_dimension(d)
     tau = tau_phase(d)
     out = np.zeros((d, d), dtype=complex)

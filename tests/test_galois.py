@@ -1,3 +1,6 @@
+import operator
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
@@ -185,6 +188,28 @@ class TestGroupStructure:
                 closure = _closure(identity, [a, b], lambda x, y: table[x][y])
                 expected = generate_group([GROUP[a], GROUP[b]])
                 assert closure == [index[g] for g in expected]
+
+    @pytest.mark.parametrize("names", [
+        names for n in range(1, 5) for names in combinations(sorted(GENS), n)])
+    def test_generation_is_the_plain_closure(self, names):
+        # deciding membership by images must keep the elements and the
+        # BFS order of composing every candidate product
+        gens = [GENS[name] for name in names]
+        plain = _closure(Automorphism.identity(), gens, operator.mul)
+        assert generate_group(gens) == plain
+
+    def test_generation_composes_only_new_elements(self, monkeypatch):
+        calls = []
+        compose = Automorphism.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return compose(self, other)
+
+        monkeypatch.setattr(Automorphism, "__mul__", counted)
+        group = generate_group(list(GENS.values()))
+        assert len(group) == 16
+        assert len(calls) == 15
 
     def test_certificate_rejects_subgroup(self):
         H = generate_group([G1, G2, G3])

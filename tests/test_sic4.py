@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from reference import dense_displacement, dense_reconstruction
 
+from conftest import field_elements
 from sicfield import matrices
 from sicfield.sic4 import (
     canonical_phase_matrix,
@@ -41,6 +43,24 @@ class TestAgainstDenseReference:
             assert overlap(proj, i, j) == expected
             values.add(expected)
         assert len(values) > 1
+
+    @given(st.lists(st.lists(field_elements(), min_size=4, max_size=4),
+                    min_size=4, max_size=4))
+    @settings(max_examples=5, deadline=None)
+    def test_overlap_equals_the_dense_trace_for_any_matrix(self, rows):
+        # neither hermitian nor rank one, as a corrupted projector is not;
+        # a shift or clock index moved by 4 flips the sign of D, not the trace
+        m = tuple(tuple(row) for row in rows)
+        for i in range(4):
+            for j in range(4):
+                for a, b in ((i, j), (i + 4, j), (i, j + 4)):
+                    d = dense_displacement(a, b)
+                    left = matrices.mat_mul(m, d)
+                    right = matrices.mat_mul(m, matrices.dagger(d))
+                    expected = sum((left[x][y] * right[y][x]
+                                    for x in range(4) for y in range(4)),
+                                   FieldElement.zero())
+                    assert overlap(m, a, b) == expected, (a, b)
 
 
 class TestPhaseMatrix:

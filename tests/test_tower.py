@@ -118,6 +118,40 @@ class TestReductionRules:
         assert R * R + c * R + 1 == FieldElement.zero()
 
 
+    def test_structure_tensor_every_entry(self):
+        # T[i][j] against u^(a+b) r^(e+f) reduced by long division with the
+        # octic and with r^2 = -1 - c r, doubled; c = 2/x = (6x - x^3)/2 by
+        # x^4 - 6x^2 + 4 = 0, with x = u + 1/u and 1/u = 2u + 2u^3 + 2u^5 - u^7
+        from sicfield import tower
+
+        def times(p, q):
+            out = [Fraction(0)] * (len(p) + len(q) - 1)
+            for k, a in enumerate(p):
+                for m, b in enumerate(q):
+                    out[k + m] += a * b
+            return out
+
+        def reduced(p):
+            return reduce_mod(p, U_MIN_POLY.coeffs)
+
+        x = [0, 3, 0, 2, 0, 2, 0, -1]
+        c = [(6 * a - b) / 2 for a, b in zip(x, reduced(times(x, times(x, x))))]
+        assert reduced(times(c, x)) == [2] + [0] * 7
+        table = tower._structure()
+        for i in range(16):
+            for j in range(16):
+                power = reduced([0] * (i % 8 + j % 8) + [1])
+                r_degree = i // 8 + j // 8
+                if r_degree == 0:
+                    vec = power + [0] * 8
+                elif r_degree == 1:
+                    vec = [0] * 8 + power
+                else:
+                    vec = [-a for a in power] + [-a for a in reduced(times(power, c))]
+                expected = {k: 2 * a for k, a in enumerate(vec) if a}
+                assert dict(table[i][j]) == expected, (i, j)
+
+
 class TestNamedConstants:
     def test_built_without_polynomial_division(self, monkeypatch):
         from sicfield import sic4, tower, weyl

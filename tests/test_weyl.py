@@ -86,6 +86,42 @@ class TestAgainstReference:
                                    rtol=0, atol=1e-13), (i, j)
 
 
+class TestIndexPeriodicity:
+    """tau^d = (-1)^(d+1): the indices count mod d at odd d, and at even d
+    a full turn of one index multiplies D by the parity of the other."""
+
+    @pytest.mark.parametrize("d", (4, 6))
+    def test_even_dimension_signs(self, d):
+        for i in range(d):
+            for j in range(d):
+                base = displacement(d, i, j)
+                assert np.allclose(displacement(d, i + d, j), (-1) ** j * base,
+                                   rtol=0, atol=1e-12), (i, j)
+                assert np.allclose(displacement(d, i, j + d), (-1) ** i * base,
+                                   rtol=0, atol=1e-12), (i, j)
+        assert np.allclose(displacement(d, d + 1, 1), -displacement(d, 1, 1),
+                           rtol=0, atol=1e-12)
+
+    def test_even_dimension_signs_exact(self):
+        for i in range(4):
+            for j in range(4):
+                base = displacement_exact(i, j)
+                assert displacement_exact(i + 4, j) == scale(
+                    FieldElement.from_rational((-1) ** j), base)
+                assert displacement_exact(i, j + 4) == scale(
+                    FieldElement.from_rational((-1) ** i), base)
+        assert displacement_exact(5, 1) != displacement_exact(1, 1)
+
+    @pytest.mark.parametrize("d", (3, 5, 7))
+    def test_odd_dimension_indices_count_mod_d(self, d):
+        for i in range(d):
+            for j in range(d):
+                base = displacement(d, i, j)
+                for a, b in ((i + d, j), (i, j + d), (i - d, j - 2 * d)):
+                    assert np.allclose(displacement(d, a, b), base,
+                                       rtol=0, atol=1e-12), (a, b)
+
+
 class TestNumericOperators:
     def test_shift_matrix_d2(self):
         shift, _ = clock_shift(2)
