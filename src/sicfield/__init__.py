@@ -12,7 +12,9 @@ in sys.modules (see _lazy) and runs when one of its names is first
 read, as numpy and mpmath do. So `sicfield galois` runs galois, tower
 and polynomials; `verify-d4` and `units` run sic4 and what it imports
 (minpoly, tower, polynomials, weyl, matrices); none of the three runs
-search or expressions, or imports numpy, mpmath or dataclasses.
+search or expressions, or imports numpy, mpmath or dataclasses. `search`
+runs search and weyl only, as weyl reaches tower and matrices from its
+exact operators alone.
 """
 
 from ._lazy import lazy_import

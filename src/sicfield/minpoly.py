@@ -26,7 +26,7 @@ class MinimalPolynomial(NamedTuple):
 
     @property
     def monic(self) -> RatPoly:
-        return self.primitive / self.primitive.coeffs[-1]
+        return self.primitive.monic()
 
     @property
     def degree(self) -> int:

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ._lazy import np
-from .sic4 import embedded_projector
 from .weyl import tau_phase
 
 __all__ = [
@@ -187,6 +186,8 @@ def known_fiducial(d: int) -> np.ndarray:
     if d == 3:
         return np.array([0, 1, -1]) / np.sqrt(2)
     if d == 4:
+        # the exact layer, run only for the one dimension that needs it
+        from .sic4 import embedded_projector
         evals, evecs = np.linalg.eigh(embedded_projector())
         return evecs[:, int(np.argmax(evals))]
     raise ValueError(f"no reference fiducial stored for dimension {d}")

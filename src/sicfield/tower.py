@@ -441,7 +441,7 @@ def _power_dependence(a: FieldElement) -> tuple[tuple[int, ...], list[FieldEleme
     holds no reference to itself and is freed by reference counting; a
     call that raises keeps nothing.
     """
-    if _dependence_known(a):
+    if hasattr(a, "_dependence"):
         q, higher = a._dependence
         return q, [_ONE, a, *higher]
     trace = _trace()
@@ -476,12 +476,6 @@ def _power_dependence(a: FieldElement) -> tuple[tuple[int, ...], list[FieldEleme
     raise AssertionError("no candidate annihilates the element within the tower degree")
 
 
-def _dependence_known(a: FieldElement) -> bool:
-    """Whether _power_dependence has already found and checked the
-    minimal polynomial of a, so that asking again costs nothing."""
-    return hasattr(a, "_dependence")
-
-
 # -- automorphisms ----------------------------------------------------------------
 
 _U = _make((0, 1) + (0,) * 14, 1)
@@ -502,7 +496,8 @@ class Automorphism:
     multiplicative exactly when it agrees with the tensor on those two;
     otherwise ValueError. Products are matrix products, composing right
     to left: (sigma * phi)(e) = sigma(phi(e)). Powers and inverses are
-    products, so they need no check.
+    products, so they need no check. A pickle or copy holds the images of
+    u and r, so loading one runs the check again.
     """
 
     __slots__ = ("cols", "den")
@@ -520,7 +515,7 @@ class Automorphism:
         raise AttributeError("Automorphism is immutable")
 
     def __reduce__(self):
-        return _automorphism, (self.cols, self.den)
+        return Automorphism, (self.image_u, self.image_r)
 
     @classmethod
     def identity(cls) -> Automorphism:
@@ -577,14 +572,9 @@ def _matrix(columns: Sequence[Sequence[int]], den: int) -> Automorphism:
     """The map with these integer columns over den > 0, in lowest terms;
     nothing checks that it is multiplicative."""
     g = gcd(den, *(x for col in columns for x in col))
-    return _automorphism(tuple(_sparse([x // g for x in col]) for col in columns), den // g)
-
-
-def _automorphism(cols: tuple[tuple[tuple[int, int], ...], ...], den: int) -> Automorphism:
-    """The map with these sparse columns over den, already in lowest terms."""
     m = object.__new__(Automorphism)
-    object.__setattr__(m, "cols", cols)
-    object.__setattr__(m, "den", den)
+    object.__setattr__(m, "cols", tuple(_sparse([x // g for x in col]) for col in columns))
+    object.__setattr__(m, "den", den // g)
     return m
 
 

@@ -11,6 +11,9 @@ position i*d + j.
 
 Every operator is built from one rule, `monomial`: since omega = tau^2
 and tau^(2d) = 1, D(i, j)|k> = tau^(ij + 2jk mod 2d) |k + i mod d>.
+
+Only the exact operators read tower and matrices, through the package's
+lazily registered submodules, so the numeric ones run neither module.
 """
 
 from __future__ import annotations
@@ -19,12 +22,10 @@ import cmath
 from functools import lru_cache
 from typing import Sequence
 
+from . import matrices, tower
 from ._lazy import np
-from .matrices import Matrix
-from .tower import FieldElement, constant
 
 __all__ = [
-    "omega",
     "tau_phase",
     "monomial",
     "clock_shift",
@@ -35,10 +36,6 @@ __all__ = [
     "displacement_exact",
     "orbit_exact",
 ]
-
-
-def omega(d: int) -> complex:
-    return cmath.exp(2j * cmath.pi / d)
 
 
 def tau_phase(d: int) -> complex:
@@ -107,33 +104,34 @@ def orbit(d: int, fiducial: np.ndarray) -> np.ndarray:
 # -- exact dimension 4 -------------------------------------------------------
 
 
-def clock_shift_exact() -> tuple[Matrix, Matrix]:
+def clock_shift_exact() -> tuple[matrices.Matrix, matrices.Matrix]:
     """Exact X and Z in dimension 4; the clock eigenvalues are powers
     of the exact imaginary unit."""
     return displacement_exact(1, 0), displacement_exact(0, 1)
 
 
 @lru_cache(maxsize=1)
-def _tau_powers() -> tuple[FieldElement, ...]:
+def _tau_powers() -> tuple[tower.FieldElement, ...]:
     """tau^0 .. tau^7; tau is a primitive eighth root of unity."""
-    tau = constant("tau")
-    powers = [FieldElement.one()]
+    tau = tower.constant("tau")
+    powers = [tower.FieldElement.one()]
     for _ in range(7):
         powers.append(powers[-1] * tau)
     return tuple(powers)
 
 
-def displacement_exact(i: int, j: int) -> Matrix:
+def displacement_exact(i: int, j: int) -> matrices.Matrix:
     """Exact D(i, j) at d = 4 with tau from the tower."""
     powers = _tau_powers()
-    rows = [[FieldElement.zero()] * 4 for _ in range(4)]
+    rows = [[tower.FieldElement.zero()] * 4 for _ in range(4)]
     for k, (row, e) in enumerate(monomial(4, i, j)):
         rows[row][k] = powers[e]
     return tuple(tuple(row) for row in rows)
 
 
-def orbit_exact(fiducial: Sequence[FieldElement]) -> list[tuple[FieldElement, ...]]:
+def orbit_exact(
+        fiducial: Sequence[tower.FieldElement]) -> list[tuple[tower.FieldElement, ...]]:
     """All 16 exact displaced copies of a d = 4 fiducial, row-major."""
     if len(fiducial) != 4:
         raise ValueError("exact orbits exist in dimension 4 only")
-    return _displaced(4, fiducial, _tau_powers(), FieldElement.zero())
+    return _displaced(4, fiducial, _tau_powers(), tower.FieldElement.zero())

@@ -1,8 +1,15 @@
 from fractions import Fraction
 
-from hypothesis import strategies as st
+from hypothesis import Phase, settings, strategies as st
 
 from sicfield.tower import FieldElement
+
+# Every phase but explain: explain traces each line of every run while a
+# failure shrinks (sys.settrace before Python 3.12), which makes a broken
+# exact property report about ten times later. Shrinking still runs.
+settings.register_profile(
+    "sicfield", phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target, Phase.shrink))
+settings.load_profile("sicfield")
 
 _ACCEPTANCE_RESULTS: list[tuple[str, bool]] = []
 

@@ -112,6 +112,18 @@ def test_exact_command_runs_only_its_layers(name):
     assert not report["dataclasses"]
 
 
+def test_search_runs_no_exact_module(capsysbinary):
+    # search and weyl's numeric half are all the search reads; weyl reaches
+    # tower and matrices only from its exact operators
+    argv = ["search", "--dim", "3", "--json"]
+    code, out, report = run_fresh(argv)
+    assert {"search", "weyl"} <= set(report["ran"])
+    assert not {"tower", "polynomials", "minpoly", "matrices", "sic4", "galois",
+                "expressions"} & set(report["ran"])
+    assert any(m.startswith("numpy.") for m in report["loaded"])
+    assert (code, out) == run_in_process(argv, capsysbinary)
+
+
 def test_bare_import_runs_no_submodule():
     script = """
 import sys, types

@@ -468,19 +468,27 @@ class TestPickleAndCopy:
     def test_round_trips(self, copier):
         g = standard_generators()["g4"]
         mp = minimal_polynomial(constant("u3"))
+        group = generate_group(list(standard_generators().values()))
+        assert len(group) == 16
         for value in (constant("u3"), FieldElement.from_rational(Fraction(-3, 7)),
-                      mp, mp.primitive, RatPoly(()), g, g * g):
+                      mp, mp.primitive, RatPoly(()), *group):
             other = copier(value)
             assert type(other) is type(value)
             assert other == value and hash(other) == hash(value)
         assert copier(g).apply(constant("u")) == g.apply(constant("u"))
+
+    def test_loading_an_automorphism_checks_its_images(self, monkeypatch):
+        data = pickle.dumps(standard_generators()["g4"])
+        monkeypatch.setattr(tower, "_substitution", lambda image_u, image_r: None)
+        with pytest.raises(ValueError, match="tower relations"):
+            pickle.loads(data)
 
     def test_the_kept_dependence_is_not_pickled(self):
         kept, fresh = fresh_copies(BASES[16][0], BASES[16][0])
         minimal_polynomial(kept)
         assert pickle.dumps(kept) == pickle.dumps(fresh)
         for other in (pickle.loads(pickle.dumps(kept)), copy.deepcopy(kept)):
-            assert not tower._dependence_known(other)
+            assert not hasattr(other, "_dependence")
             assert minimal_polynomial(other) == minimal_polynomial(kept)
 
 
