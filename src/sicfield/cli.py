@@ -10,16 +10,16 @@ Subcommands:
     discriminant  (d - 3)(d + 1) and its squarefree part
 
 Every subcommand accepts --json for machine-readable reports and
---config FILE to preload option defaults from a JSON object; minpoly,
-galois and units, whose reports carry approximate values of field
-elements, also accept --precision {double, extended} to choose how
-those values are computed. Reports are objects with the four fields
-check, status, details, and category; numbers in them are rendered to
-12 significant digits with ties going to even. Exit status is 0 when
-every check passes, 1 when any check fails, 2 for usage or parse errors
-(search values out of range and expressions whose value would exceed
-MAX_VALUE_BITS included), and 141 when the reader of the output closes
-it early.
+--config FILE, a JSON object whose keys are read as the flags they name,
+before the flags given on the command line; minpoly, galois and units,
+whose reports carry approximate values of field elements, also accept
+--precision {double, extended} to choose how those values are computed.
+Reports are objects with the four fields check, status, details, and
+category; numbers in them are rendered to 12 significant digits with
+ties going to even. Exit status is 0 when every check passes, 1 when
+any check fails, 2 for usage or parse errors (search values out of
+range and expressions whose value would exceed MAX_VALUE_BITS
+included), and 141 when the reader of the output closes it early.
 """
 
 from __future__ import annotations
@@ -303,52 +303,38 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, subs.choices
 
 
-def _config_value(parser: argparse.ArgumentParser, action: argparse.Action,
-                  key: str, value: Any) -> Any:
-    """A config value read as its flag is read on the command line: a
-    switch takes only true or false, an option with no type only a string,
-    and any other option reads the value's JSON text (a string as it
-    stands) with its own type; then the option's choices apply."""
-    if isinstance(action, argparse._StoreTrueAction):
-        valid = isinstance(value, bool)
-    elif action.type is None:
-        valid = isinstance(value, str)
-    else:
-        try:
-            value = action.type(value if isinstance(value, str) else json.dumps(value))
-            valid = True
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
-            valid = False
-    if valid and action.choices is not None:
-        valid = value in action.choices
-    if not valid:
-        parser.error(f"config key {key!r}: invalid value {value!r}")
-    return value
-
-
-def _apply_config(parser: argparse.ArgumentParser,
-                  registry: dict[str, argparse.ArgumentParser],
-                  argv: list[str], args: argparse.Namespace) -> argparse.Namespace:
+def _config_flags(parser: argparse.ArgumentParser,
+                  sub: argparse.ArgumentParser, path: str) -> list[str]:
+    """The flags a config file names, for the subcommand's own parser to
+    read: a switch set to true is its bare flag and false is none, and any
+    other key is --flag=VALUE with a string as it stands and any other
+    value as its JSON text."""
     try:
-        with open(args.config) as handle:
+        with open(path) as handle:
             overrides = json.load(handle)
     except (OSError, ValueError) as err:  # bad JSON or bad UTF-8
-        parser.error(f"cannot read config {args.config}: {err}")
+        parser.error(f"cannot read config {path}: {err}")
     if not isinstance(overrides, dict):
         parser.error("config must be a JSON object")
     # a key names an optional flag of the subcommand; --help and --config
     # themselves, and positional arguments, which the first parse already
     # required, can never take effect
-    sub = registry[args.command]
     actions = {action.dest: action for action in sub._actions
                if action.option_strings and action.dest not in ("help", "config")}
     unknown = set(overrides) - set(actions)
     if unknown:
         parser.error(f"unknown config keys: {', '.join(sorted(unknown))}")
-    sub.set_defaults(**{key: _config_value(parser, actions[key], key, value)
-                        for key, value in overrides.items()})
-    # reparse so explicit command line flags still win over the config
-    return parser.parse_args(argv)
+    flags = []
+    for key, value in overrides.items():
+        flag = actions[key].option_strings[-1]
+        if actions[key].nargs != 0:
+            text = value if isinstance(value, str) else json.dumps(value)
+            flags.append(f"{flag}={text}")
+        elif not isinstance(value, bool):  # a switch
+            parser.error(f"config key {key!r}: invalid value {value!r}")
+        elif value:
+            flags.append(flag)
+    return flags
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -366,7 +352,11 @@ def main(argv: list[str] | None = None) -> int:
             registry[args.command].error(
                 f"unrecognized arguments: {' '.join(extra)}")
         if getattr(args, "config", None):
-            args = _apply_config(parser, registry, argv, args)
+            # the config's flags go right after the subcommand, so its own
+            # actions read them and an explicit flag, coming later, wins
+            at = argv.index(args.command) + 1
+            flags = _config_flags(parser, registry[args.command], args.config)
+            args = parser.parse_args(argv[:at] + flags + argv[at:])
     except SystemExit as exit_:
         return int(exit_.code or 0)
 

@@ -28,6 +28,11 @@ displacements and the SIC projector as products and sums of dense 4 x 4
 matrices, for `sicfield.sic4.reconstruct_projector`, which reads each
 displacement's one nonzero entry per column instead.
 
+`numeric_displacement` is the same D(i, j) = tau^(ij) X^i Z^j in any
+dimension d, in floating point, as a product of powers of the dense
+shift and clock matrices, for `sicfield.search`, whose moment tables
+read each displacement off its index rule instead.
+
 `reduce_mod` is polynomial long division by a monic modulus, for the
 structure tensor that `sicfield.tower.FieldElement.__mul__` contracts
 with instead.
@@ -209,6 +214,16 @@ def dense_displacement(i, j):
     for _ in range(j):
         out = mat_mul(out, clock)
     return out
+
+
+def numeric_displacement(d, i, j):
+    """tau^(ij) X^i Z^j with tau = -exp(i pi / d), from the shift
+    X|k> = |k + 1 mod d> and the clock Z|k> = tau^(2k) |k>."""
+    tau = -np.exp(1j * np.pi / d)
+    shift = np.roll(np.eye(d), 1, axis=0)
+    clock = np.diag(tau ** (2 * np.arange(d)))
+    return tau ** (i * j) * (np.linalg.matrix_power(shift, i)
+                             @ np.linalg.matrix_power(clock, j))
 
 
 def dense_reconstruction(phases):

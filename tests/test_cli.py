@@ -9,7 +9,7 @@ from dataclasses import fields
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from reference import render_number as reference_render_number
 
@@ -365,6 +365,36 @@ class TestDiscriminant:
         assert "error" in err
 
 
+# the cheap runs of four subcommands, the option keys each takes in a
+# config file, and a valid value for each option to give after it
+CHEAP_RUNS = {
+    "discriminant": ["--dim", "5"],
+    "search": ["--dim", "2", "--restarts", "1", "--max-iterations", "3"],
+    "verify-d4": [],
+    "minpoly": ["u"],
+}
+CONFIG_KEYS = {
+    "discriminant": ["json", "dim"],
+    "search": ["json", "dim", "restarts", "seed", "tolerance", "max_iterations"],
+    "verify-d4": ["json", "corrupt"],
+    "minpoly": ["json", "precision"],
+}
+EXPLICIT_FLAGS = {
+    "json": "--json", "dim": "--dim=6", "restarts": "--restarts=2",
+    "seed": "--seed=7", "tolerance": "--tolerance=1e-06",
+    "max_iterations": "--max-iterations=2", "corrupt": "--corrupt=0,1",
+    "precision": "--precision=double",
+}
+JSON_VALUES = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False) | st.just(1e300),
+    st.sampled_from(["7", "1e-8", "extended", "1,2", "0,0", "-1", ""]) | st.text(max_size=5),
+    st.none(),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+
+
 class TestConfig:
     def test_config_supplies_defaults(self, capsys, tmp_path):
         config = tmp_path / "options.json"
@@ -429,6 +459,8 @@ class TestConfig:
         assert out == ""
         assert "the following arguments are required" in err
 
+    # a switch takes only true or false, and any other value is refused
+    # by the subcommand's parser as the flag of the same name would be
     @pytest.mark.parametrize("key, value", [
         ("json", "no"),
         ("json", 1),
@@ -447,7 +479,10 @@ class TestConfig:
         code, out, err = run_cli(capsys, *argv, "--config", str(config))
         assert code == 2
         assert out == ""
-        assert repr(key) in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        named = f"config key {key!r}" if key == "json" else f"argument --{key}"
+        assert named in errors[0]
 
     def test_values_read_as_on_the_command_line(self, capsys, tmp_path):
         config = tmp_path / "options.json"
@@ -483,6 +518,43 @@ class TestConfig:
         code, _, err = run_cli(capsys, "discriminant", "--dim", "4",
                                "--config", str(tmp_path / "absent.json"))
         assert code == 2
+
+    # capsys and tmp_path are shared by the examples: each reads its own
+    # output and rewrites the config
+    @settings(deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(sorted(CHEAP_RUNS)).flatmap(
+        lambda command: st.tuples(st.just(command), st.sampled_from(CONFIG_KEYS[command]))),
+        JSON_VALUES)
+    def test_config_is_the_flags_it_names(self, capsys, tmp_path, command_key, value):
+        command, key = command_key
+
+        def run(*argv):
+            code, out, err = run_cli(capsys, *argv)
+            assert code in (0, 1, 2) and "Traceback" not in err
+            return code, out, err
+
+        config = tmp_path / "options.json"
+        config.write_text(json.dumps({key: value}))
+        configured = run(command, *CHEAP_RUNS[command], "--config", str(config))
+        if key == "json" and not isinstance(value, bool):
+            # a switch takes only true or false
+            assert configured[:2] == (2, "")
+        else:
+            flag = "--" + key.replace("_", "-")
+            if key == "json":
+                flags = [flag] if value else []
+            else:
+                flags = [f"{flag}={value if isinstance(value, str) else json.dumps(value)}"]
+            # the config's flags come before the explicit ones
+            assert run(command, *flags, *CHEAP_RUNS[command])[:2] == configured[:2]
+        explicit = [*CHEAP_RUNS[command], EXPLICIT_FLAGS[key]]
+        overridden = run(command, "--config", str(config), *explicit)
+        if "usage:" in configured[2]:
+            # refused while parsing, before the explicit flag is read
+            assert overridden[:2] == (2, "")
+        else:
+            assert overridden[:2] == run(command, *explicit)[:2]
 
 
 class TestOptionSurface:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reference import lbfgs_run
+from reference import lbfgs_run, numeric_displacement
 from sicfield.sic4 import canonical_phase_matrix, embedded_projector
 from sicfield.search import (
     SearchConfig,
@@ -21,7 +21,6 @@ from sicfield.search import (
     sic_residual,
 )
 from sicfield.tower import embed
-from sicfield.weyl import displacement
 
 # the package binds the name `search` to the function, so reach the module
 search_module = importlib.import_module("sicfield.search")
@@ -36,7 +35,7 @@ def random_unit(d, seed):
 def reference_values(d, psi):
     """Residual, gradient and fourth moment from the d^2 dense
     displacement matrices, the definition the search kernel must match."""
-    stack = np.array([displacement(d, i, j) for i in range(d) for j in range(d)])
+    stack = np.array([numeric_displacement(d, i, j) for i in range(d) for j in range(d)])
     m = np.einsum("a,kab,b->k", psi.conj(), stack, psi)
     devs = np.abs(m) ** 2 - 1.0 / (d + 1)
     devs[0] = 0.0
@@ -68,7 +67,7 @@ class TestKernel:
             for j in range(d):
                 if (i, j) == (0, 0):
                     continue
-                want = np.sqrt(d + 1) * (psi.conj() @ displacement(d, i, j) @ psi)
+                want = np.sqrt(d + 1) * (psi.conj() @ numeric_displacement(d, i, j) @ psi)
                 assert abs(phases[i, j] - want) < 1e-12
 
     def test_only_the_dimension_in_use_keeps_its_tables(self):
@@ -114,7 +113,7 @@ class TestResidual:
         r0 = sic_residual(d, psi)
         for i in range(d):
             for j in range(d):
-                assert abs(sic_residual(d, displacement(d, i, j) @ psi) - r0) < 1e-10
+                assert abs(sic_residual(d, numeric_displacement(d, i, j) @ psi) - r0) < 1e-10
 
     def test_unknown_reference_dimension(self):
         with pytest.raises(ValueError):
@@ -263,7 +262,7 @@ class TestSearch:
     def test_sic_defect_is_the_largest_overlap_deviation(self, d, restarts):
         result = search(SearchConfig(dimension=d, restarts=restarts, max_iterations=5))
         psi = result.fiducial
-        want = max(abs(abs(psi.conj() @ displacement(d, i, j) @ psi) ** 2 - 1 / (d + 1))
+        want = max(abs(abs(psi.conj() @ numeric_displacement(d, i, j) @ psi) ** 2 - 1 / (d + 1))
                    for i in range(d) for j in range(d) if (i, j) != (0, 0))
         assert result.sic_defect == pytest.approx(want, rel=1e-9, abs=1e-15)
 
