@@ -69,9 +69,11 @@ def render_complex(value: Any) -> str:
 
 
 def serialize_element(elem: tower.FieldElement, precision: str) -> dict:
-    # a double beyond the float range gives way to the EXTENDED_DPS value
+    # a double outside the normal float range, an infinity or a nonzero
+    # value that underflowed, gives way to the EXTENDED_DPS value
     z = None if precision == "extended" else tower.embed(elem)
-    if z is None or not cmath.isfinite(z):
+    if z is None or not cmath.isfinite(z) or (
+            elem and max(abs(z.real), abs(z.imag)) < sys.float_info.min):
         z = tower.embed(elem, EXTENDED_DPS)
     approx = {"re": render_number(z.real), "im": render_number(z.imag)}
     return {"coords": [str(c) for c in elem.coords], "approx": approx}

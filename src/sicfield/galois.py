@@ -24,9 +24,9 @@ from typing import Callable, Collection, Mapping, NamedTuple, Sequence
 
 from .tower import (
     _R_INVERSE,
-    _U_INVERSE,
     Automorphism,
     FieldElement,
+    _conjugation,
     constant,
     element_order,
 )
@@ -52,7 +52,7 @@ def standard_generators() -> dict[str, Automorphism]:
     u = constant("u")
     r = constant("r")
     return {
-        "g1": Automorphism(_U_INVERSE, r),
+        "g1": _conjugation(),
         "g2": Automorphism(-u, -r),
         "g3": Automorphism(u, _R_INVERSE),
         "g4": Automorphism(r, u),

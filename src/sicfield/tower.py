@@ -24,12 +24,12 @@ of a comes from the integer traces of the powers of den(a) a by Newton's
 identities with exact division, checked exactly against the powers of a,
 and the inverse of a from its constant term and the same powers. Those
 powers apply multiplication by a, an integer matrix like an
-automorphism's, whose columns are read off the tensor as the powers
-first need them and kept, so each later power costs one matrix-vector
-product instead of a contraction with the tensor. Elements are
-immutable, so the checked polynomial and powers are kept on the element:
-its minimal polynomial, inverse and unit and integrality tests share one
-computation.
+automorphism's. One sparse kernel, _apply, builds its columns from rows
+of the tensor as the powers first need them and applies it, so each
+later power costs one matrix-vector product instead of a contraction
+with the tensor. Elements are immutable, so the checked polynomial and
+powers are kept on the element: its minimal polynomial, inverse and unit
+and integrality tests share one computation.
 
 u embeds as the unit-modulus complex number
 (sqrt5 - 1)/(2 sqrt2) + i sqrt(sqrt5 + 1)/2 and r as the real number
@@ -396,17 +396,6 @@ def _apply(columns: Sequence[Sequence[tuple[int, int]] | None],
     return out
 
 
-def _column(i: int, nonzero: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """Column i of multiplication by a, the numerators of a basis_i over
-    2 den(a): sum_j a_j T[i][j], with nonzero the (j, a_j) where a_j != 0."""
-    row = _structure()[i]
-    out = [0] * 16
-    for j, y in nonzero:
-        for k, t in row[j]:
-            out[k] += t * y
-    return _sparse(out)
-
-
 def _power_dependence(a: FieldElement) -> tuple[tuple[int, ...], list[FieldElement]]:
     """Integer coefficients q_0..q_n of the minimal polynomial of a, so
     that q_0 + q_1 a + ... + q_n a^n = 0, and the powers 1, a, ..., a^n.
@@ -424,15 +413,15 @@ def _power_dependence(a: FieldElement) -> tuple[tuple[int, ...], list[FieldEleme
     arithmetic slip raises instead of returning a polynomial that does
     not annihilate a.
 
-    Multiplication by a is one integer linear map, so each power after a
-    is that map applied to the one before, sum_i x_i column_i over its
-    nonzero coordinates x_i. Column i is built from the structure tensor
-    the first time a power has a nonzero coordinate i and kept for the
-    rest of the sequence. A dense element fills all 16 once, reading the
-    848 tensor entries that every product with it reads, and each power
-    after that takes at most 256 multiply-adds instead of 848; an element of low
-    degree, whose powers stay in a subfield, fills only the columns its
-    powers use.
+    Multiplication by a is one integer linear map, and _apply both builds
+    and applies it. Column i, the numerators of a basis_i over 2 den(a),
+    is _apply of row i of the structure tensor to a, built the first time
+    a power has a nonzero coordinate i and kept; each power after a is
+    _apply of the columns to the power before. A dense element fills all
+    16 once, reading the 848 tensor entries that every product with it
+    reads, and each power after that takes at most 256 multiply-adds
+    instead of 848; an element of low degree, whose powers stay in a
+    subfield, fills only the columns its powers use.
 
     FieldElement is immutable, so the result depends on a alone. The
     call that passes the exact check keeps q and the powers a^2..a^n on
@@ -444,21 +433,17 @@ def _power_dependence(a: FieldElement) -> tuple[tuple[int, ...], list[FieldEleme
     if hasattr(a, "_dependence"):
         q, higher = a._dependence
         return q, [_ONE, a, *higher]
-    trace = _trace()
-    powers = [_ONE]
+    trace, table = _trace(), _structure()
+    powers = [_ONE, a]
     times_a: list[tuple[tuple[int, int], ...] | None] = [None] * 16
-    nonzero = [(j, y) for j, y in enumerate(a.nums) if y]
-    traces: list[int] = []  # Tr(b^k), k = 1, 2, ...
+    traces = [sum(map(mul, trace, a.nums))]  # Tr(b^k), k = 1, 2, ...
     for n in (1, 2, 4, 8, 16):
         while len(powers) <= n:
-            if len(powers) > 1:
-                last = powers[-1]
-                for i, x in enumerate(last.nums):
-                    if x and times_a[i] is None:
-                        times_a[i] = _column(i, nonzero)
-                power = _reduced(_apply(times_a, last.nums), 2 * last.den * a.den)
-            else:
-                power = a
+            last = powers[-1]
+            for i, x in enumerate(last.nums):
+                if x and times_a[i] is None:
+                    times_a[i] = _sparse(_apply(table[i], a.nums))
+            power = _reduced(_apply(times_a, last.nums), 2 * last.den * a.den)
             traces.append(sum(map(mul, trace, power.nums)) * a.den ** len(powers)
                           // power.den)
             powers.append(power)
@@ -611,7 +596,7 @@ def element_order(g: Automorphism) -> int:
 
 @lru_cache(maxsize=1)
 def _conjugation() -> Automorphism:
-    """Complex conjugation, the automorphism u -> 1/u, r -> r (g1)."""
+    """Complex conjugation u -> 1/u, r -> r, built once; galois's g1 is this map."""
     return Automorphism(_U_INVERSE, _R)
 
 
@@ -808,17 +793,18 @@ def _float_ratio(n: int, d: int) -> float:
 def embed(elem: FieldElement, dps: int | None = None):
     """Numerical value of an element under the defining embedding.
 
-    With dps=None this returns a Python complex within
-    EMBED_RELATIVE_ERROR of the true value, relative to its modulus. It
-    is the double-precision Horner value whenever an a-priori rounding
-    bound certifies that. Otherwise, and for coordinates too large for a
-    float, it is the double nearest an exact integer sum of the
-    coordinates times a fixed-point table of the basis values, whose
-    error bound is checked in integers (_embed_exact); a value beyond the
-    float range is an infinity. With a positive int dps it returns an
-    mpmath.mpc with that many correct decimal digits, relative to its
-    modulus, from the same integer sum; only this path loads mpmath. Any
-    other dps raises ValueError.
+    With dps=None this returns a Python complex within EMBED_RELATIVE_ERROR
+    of the true value, relative to its modulus. It is the double-precision
+    Horner value whenever an a-priori rounding bound certifies that.
+    Otherwise, and for coordinates too large for a float, it is the double
+    nearest an exact integer sum of the coordinates times a fixed-point
+    table of the basis values, whose error bound is checked in integers
+    (_embed_exact). A value beyond the float range is an infinity, and one
+    whose modulus is below the normal range (sys.float_info.min) has the
+    nearest subnormal or zero parts, without that relative bound. With a
+    positive int dps it returns an mpmath.mpc with that many correct
+    decimal digits, relative to its modulus, from the same integer sum;
+    only this path loads mpmath. Any other dps raises ValueError.
     """
     if dps is None:
         z = _embed_double(elem)

@@ -13,9 +13,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from reference import render_number as reference_render_number
 
-from sicfield.cli import EXIT_BROKEN_PIPE, main, render_number
+from sicfield.cli import EXIT_BROKEN_PIPE, build_parser, main, render_number
 from sicfield.expressions import evaluate_expression
 from sicfield.search import SearchConfig
+from sicfield.tower import CONSTANT_NAMES
 
 DOUBLES = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -207,6 +208,18 @@ class TestMinpoly:
         _, reports = run_json(capsys, "minpoly", "u1^1000")
         assert reports[0]["details"]["element"]["approx"] == {
             "re": "5.96602869489E+382", "im": "0"}
+
+    # below the normal double range the double is 0 or a subnormal with
+    # few correct digits, so the report carries the 50-digit value too
+    @pytest.mark.parametrize("expression, re", [
+        ("(sqrt5-2)^3000", "1.29192633227E-1881"),  # about 1.3e-1881: the double is 0
+        ("(sqrt5-2)^500", "3.30019517521E-314"),  # a subnormal, 2e-11 off
+    ])
+    def test_value_below_the_normal_range_prints_its_digits(self, capsys, expression, re):
+        approx = [run_json(capsys, "minpoly", expression, "--precision", precision)[1][0]
+                  ["details"]["element"]["approx"] for precision in ("double", "extended")]
+        assert approx[0]["re"] == re
+        assert approx[0] == approx[1]
 
 
 class TestGalois:
@@ -651,3 +664,90 @@ class TestParsing:
         _, err = proc.communicate(timeout=60)
         assert err == b""
         assert proc.returncode == EXIT_BROKEN_PIPE
+
+
+# argv for every subcommand, built from its own option strings, so an
+# option added later is drawn as well (OPTION_TEXT must name it). A value
+# is argv text: a bounded valid value or, one time in four, a text that
+# most options refuse. search always gets --dim and its two budgets,
+# at most 2 restarts of at most 20 iterations, so each run is quick;
+# --help is left to test_help_exits_0.
+_, SUBPARSERS = build_parser()
+ALWAYS = {"search": ("dim", "restarts", "max_iterations")}
+CONFIG_PATH = "@config"
+
+
+def _int_text(low, high):
+    return st.integers(low, high).map(str)
+
+
+OPTION_TEXT = {
+    "dim": _int_text(2, 6),
+    "restarts": _int_text(1, 2),
+    "max_iterations": _int_text(0, 20),
+    "seed": _int_text(0, 9),
+    "tolerance": st.sampled_from(["1e-3", "1e-6", "1e-10"]),
+    "corrupt": st.tuples(_int_text(0, 3), _int_text(0, 3)).map(",".join),
+    "precision": st.sampled_from(["double", "extended"]),
+}
+BAD_TEXT = st.sampled_from(["", "x", "-", "-1", "0", "1.5", "1e400", "inf", "nan", "9,9"])
+
+# short field expressions: a power of an atom or of a parenthesized pair,
+# with exponents of at most 99 in size, joined by up to two operators; or
+# one that minpoly refuses, by its syntax or by a division by zero
+ATOMS = st.sampled_from([*CONSTANT_NAMES, "0", "1", "2", "7"])
+OPERATORS = st.sampled_from("+-*/")
+TERMS = ATOMS | st.builds("({}{}{})".format, ATOMS, OPERATORS, ATOMS)
+POWERS = TERMS | st.builds("{}^{}".format, TERMS, st.integers(-99, 99))
+EXPRESSIONS = st.builds(
+    lambda first, rest: first + "".join(op + p for op, p in rest),
+    POWERS, st.lists(st.tuples(OPERATORS, POWERS), max_size=2),
+) | st.sampled_from(["", "u+", "(u", "u^^2", "q", "-u", "1/0", "0^-1", "u/(r-r)"])
+
+
+@st.composite
+def generated_runs(draw):
+    """A subcommand's argv, with CONFIG_PATH standing for its config
+    file, and the JSON object that file holds: both draw from the options
+    the subcommand's own parser takes."""
+    command = draw(st.sampled_from(sorted(SUBPARSERS)))
+    groups, config = [], {}
+    for action in SUBPARSERS[command]._actions:
+        if not action.option_strings:  # the expression
+            groups.append([draw(EXPRESSIONS)])
+            continue
+        if action.dest in ("help", "config"):
+            continue
+        switch = action.nargs == 0
+        value = (st.booleans() if switch
+                 else BAD_TEXT if draw(st.integers(0, 3)) == 3 else OPTION_TEXT[action.dest])
+        if draw(st.booleans()):
+            config[action.dest] = draw(value)
+        if action.dest in ALWAYS.get(command, ()) or draw(st.booleans()):
+            flag = draw(st.sampled_from(action.option_strings))
+            if switch:
+                groups.append([flag])
+            else:
+                text = draw(value)
+                groups.append(draw(st.sampled_from([[flag, text], [f"{flag}={text}"]])))
+    if draw(st.booleans()):
+        groups.append(["--config", CONFIG_PATH])
+    argv = [command, *(token for group in draw(st.permutations(groups)) for token in group)]
+    return argv, config
+
+
+class TestGeneratedArgv:
+    # capsys and tmp_path are shared by the examples: each reads its own
+    # output and rewrites the config
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(generated_runs())
+    def test_every_run_exits_cleanly(self, capsys, tmp_path, run):
+        argv, config = run
+        path = tmp_path / "options.json"
+        path.write_text(json.dumps(config))
+        code, _, err = run_cli(capsys, *(str(path) if t == CONFIG_PATH else t for t in argv))
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            assert "error:" in err.splitlines()[-1]

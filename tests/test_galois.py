@@ -23,6 +23,7 @@ from sicfield.galois import (
 from sicfield.tower import (
     U_MIN_POLY,
     FieldElement,
+    _conjugation,
     constant,
     defining_relations_hold,
     embed,
@@ -41,6 +42,10 @@ class TestAutomorphismValidation:
         assert set(GENS) == {"g1", "g2", "g3", "g4"}
         for g in GENS.values():
             assert isinstance(g, Automorphism)
+
+    def test_g1_is_the_conjugation_map(self):
+        # built once: conjugate and g1 apply the same matrix
+        assert standard_generators()["g1"] is _conjugation()
 
     def test_defining_images(self):
         assert G1.image_u == U.inverse() and G1.image_r == R

@@ -94,6 +94,13 @@ def test_numeric_command_loads_on_first_use(argv, library, capsysbinary):
     assert (code, out) == run_in_process(argv, capsysbinary)
 
 
+def test_zero_prints_zero_without_mpmath():
+    # zero is below the normal double range too, but its double is exact
+    code, out, report = run_fresh(["minpoly", "0", "--json"])
+    assert (code, report["loaded"]) == (0, [])
+    assert json.loads(out)[0]["details"]["element"]["approx"] == {"re": "0", "im": "0"}
+
+
 # the modules each exact audit command must not run; none of them
 # imports dataclasses either
 NOT_RUN = {

@@ -214,21 +214,20 @@ class TestAgainstReference:
             assert a * a.inverse() == 1
 
     def test_a_corrupt_column_raises(self, monkeypatch):
-        # column 1 of multiplication by a holds a u; each element has a
-        # nonzero u coordinate, so a^2 already reads the corrupt entry
-        column = tower._column
-
-        def corrupt(i, nonzero):
-            col = column(i, nonzero)
-            if i == 1:
-                (k, entry), *rest = col
-                col = ((k, entry + 1), *rest)
-            return col
-
-        monkeypatch.setattr(tower, "_column", corrupt)
+        # column i of multiplication by a is row i of the structure tensor
+        # applied to a. Each entry u * basis_j of row 1 gains 1 at its
+        # first coordinate, a different one for each j, so column 1, which
+        # holds a u, is wrong for every nonzero a; each element has a
+        # nonzero u coordinate, so a^2 already reads it. The traces stay
+        # those of the true tensor.
         # fresh copies, as above, so that the corrupt column is read
-        for a in fresh_copies(constant("u"), constant("tau"), BASES[16][0],
-                              generic_element(3, 4, 3)):
+        elements = fresh_copies(constant("u"), constant("tau"), BASES[16][0],
+                                generic_element(3, 4, 3))
+        table = list(tower._structure())
+        table[1] = tuple(((k, entry + 1), *rest) for (k, entry), *rest in table[1])
+        tower._trace()
+        monkeypatch.setattr(tower, "_structure", lambda: tuple(table))
+        for a in elements:
             with pytest.raises(AssertionError, match="no candidate"):
                 minimal_polynomial(a)
             with pytest.raises(AssertionError, match="no candidate"):
