@@ -273,7 +273,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = subs.add_parser("minpoly", parents=[common, approx],
                         help="minimal polynomial of a field expression")
-    p.add_argument("expression")
+    p.add_argument("expression",
+                   help="a field expression; write one that begins with a minus "
+                        "sign after --, as in: sicfield minpoly -- -u")
     p.set_defaults(func=cmd_minpoly)
 
     p = subs.add_parser("galois", parents=[common, approx],

@@ -10,6 +10,15 @@ of Zauner's order-3 Clifford unitary; each restart searches the largest
 one, of dimension floor(d/3) + 1, over the coefficients of an
 orthonormal basis built once per d. A warm start searches all of C^d.
 
+On that eigenspace |<psi|D(i,j)|psi>| is constant on each orbit of the
+order-6 group G generated by (i, j) -> (j, -i-j) and (i, j) -> (-i, -j),
+and every orbit meets the rows R = {i : min(i, d - i) <= floor(d/3)}.
+So a restart there builds only the moments of rows R, about 2d/3 of the
+d, and weights the squared deviation at (i, j) by
+6 / #{g in G : the row of g(i, j) is in R}, 0 at (0, 0), so that the
+weights of each orbit sum to its size. A warm start, and the public
+functions, use every row, each deviation of weight 1 but (0, 0)'s.
+
 The optimizer is L-BFGS on the unit sphere of coefficients: the
 two-loop recursion over the last MEMORY steps, then Armijo backtracking
 from the unit step, normalizing every trial point. A restart stalls
@@ -18,7 +27,8 @@ step lowers the residual by less than MIN_DECREASE of itself, so a
 restart caught in a local minimum ends early. Every restart draws its
 own random stream, so any single restart can be reproduced in
 isolation. Each point costs one moments table: the accepted point's
-table also gives its gradient.
+table, and the shifted copies of psi it was built from, also give its
+gradient.
 """
 
 from __future__ import annotations
@@ -52,8 +62,10 @@ ARMIJO = 1e-4
 MIN_DECREASE = 1e-9
 #: how far extract_phases lets a phase modulus miss 1
 PHASE_TOLERANCE = 1e-6
-#: largest dimension a search accepts: the d x d tables and products a
-#: restart holds are 16 MB each here, about 0.1 GB in all, and grow as d^2
+#: largest dimension a search accepts. Memory grows as d^2: the tables
+#: _tables keeps take 48 d^2 bytes (48 MB here), the basis, rows and
+#: weights _zauner_basis keeps about 11 d^2 per dimension, and a restart
+#: holds at most about 170 d^2 in all (about 0.18 GB here)
 MAX_SEARCH_DIMENSION = 1024
 
 
@@ -109,47 +121,57 @@ class SearchResult:
 
 
 @lru_cache(maxsize=1)
-def _tables(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The index (k + i) mod d at [i, k], and omega^(jk) at [k, j]; only
-    the dimension in use is kept, as the pair takes 24 d^2 bytes."""
+def _tables(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The index (k + i) mod d at [i, k]; omega^(jk) at [k, j] and its
+    conjugate; and the weight of each deviation over all rows, 1 but 0 at
+    (0, 0). Only the dimension in use is kept, as these take 48 d^2 bytes."""
     r = np.arange(d)
     shift = np.add.outer(r, r) % d
     dft = np.exp(2j * np.pi / d * (np.outer(r, r) % d))
-    for table in (shift, dft):
+    weights = np.ones((d, d))
+    weights[0, 0] = 0.0
+    tables = shift, dft, dft.conj(), weights
+    for table in tables:
         table.setflags(write=False)
-    return shift, dft
+    return tables
 
 
-def _moments(d: int, psi: np.ndarray) -> np.ndarray:
-    """M[i, j] = sum_k omega^(jk) conj(psi[k + i]) psi[k]: D(i, j) is
-    monomial, so this is <psi|D(i,j)|psi> without its unit factor tau^(ij)."""
-    shift, dft = _tables(d)
-    return (psi[shift].conj() * psi) @ dft
+def _evaluate(psi: np.ndarray, tables: tuple) -> tuple[float, tuple]:
+    """The residual at psi over the rows i of tables's shift, and the point
+    _descent reads: the shifted copies psi[k + i] at [i, k], the moments
+    M[i, j] = sum_k omega^(jk) conj(psi[k + i]) psi[k], and the weighted
+    deviations w (|M|^2 - 1/(d+1)). D(i, j) is monomial, so M[i, j] is
+    <psi|D(i,j)|psi> without its unit factor tau^(ij)."""
+    shift, dft, _, weights = tables
+    shifted = psi[shift]
+    products = shifted.conj()
+    products *= psi
+    m = products @ dft
+    devs = m.real ** 2 + m.imag ** 2 - 1.0 / (psi.size + 1)
+    weighted = weights * devs
+    return float(weighted.ravel() @ devs.ravel()), (shifted, m, weighted)
 
 
-def _evaluate(d: int, psi: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """The residual at psi, with the moments table and the deviations
-    |M|^2 - 1/(d+1) (zero at (0, 0)) that _descent reads."""
-    m = _moments(d, psi)
-    devs = m.real ** 2 + m.imag ** 2 - 1.0 / (d + 1)
-    devs[0, 0] = 0.0
-    flat = devs.ravel()
-    return float(flat @ flat), m, devs
-
-
-def _descent(d: int, psi: np.ndarray, m: np.ndarray, devs: np.ndarray) -> np.ndarray:
+def _descent(point: tuple, tables: tuple) -> np.ndarray:
     """The gradient of the residual in complex form, 2 * dR/d conj(psi),
-    from the moments and deviations _evaluate gave for this psi."""
-    shift, dft = _tables(d)
-    # M[-i, -j] = omega^(-ij) conj(M[i, j]), so the conj(psi[k + i]) in
-    # M[i, j] and the conj(psi[k]) in conj(M[i, j]) contribute equally
-    weights = (2 * devs * m) @ dft.conj()
-    return 4 * (weights * psi[shift]).sum(axis=0)
+    from the point _evaluate gave for this psi."""
+    shifted, m, weighted = point
+    _, _, dft_h, _ = tables
+    # M[-i, -j] = omega^(-ij) conj(M[i, j]) and the rows and weights are
+    # symmetric under (i, j) -> (-i, -j), so the conj(psi[k + i]) in M[i, j]
+    # and the conj(psi[k]) in conj(M[i, j]) contribute equally: 2 dR/d
+    # conj(psi[k]) is 8 sum over (i, j) of w devs M[i, j] omega^(-jk) psi[k + i]
+    return ((8 * weighted * m) @ dft_h * shifted).sum(axis=0)
+
+
+def _full(d: int, psi: np.ndarray) -> tuple[float, tuple]:
+    """_evaluate over all d^2 moments, at psi read as a vector in C^d."""
+    return _evaluate(np.asarray(psi, dtype=complex).reshape(d), _tables(d))
 
 
 def sic_residual(d: int, psi: np.ndarray) -> float:
     """Sum of squared deviations of the overlaps from 1/(d+1)."""
-    return _evaluate(d, np.asarray(psi, dtype=complex).reshape(d))[0]
+    return _full(d, psi)[0]
 
 
 def residual_gradient(d: int, psi: np.ndarray) -> np.ndarray:
@@ -160,9 +182,7 @@ def residual_gradient(d: int, psi: np.ndarray) -> np.ndarray:
     projection is applied, so central finite differences of
     sic_residual reproduce this vector directly.
     """
-    psi = np.asarray(psi, dtype=complex).reshape(d)
-    _, m, devs = _evaluate(d, psi)
-    gradient = _descent(d, psi, m, devs)
+    gradient = _descent(_full(d, psi)[1], _tables(d))
     return np.concatenate([gradient.real, gradient.imag])
 
 
@@ -171,8 +191,8 @@ def fourth_moment(d: int, psi: np.ndarray) -> float:
 
     Equals 2d/(d+1) exactly when psi is a fiducial.
     """
-    psi = np.asarray(psi, dtype=complex).reshape(d)
-    return float(np.sum(np.abs(_moments(d, psi)) ** 4))
+    _, (_, m, _) = _full(d, psi)
+    return float(np.sum(np.abs(m) ** 4))
 
 
 def known_fiducial(d: int) -> np.ndarray:
@@ -203,13 +223,15 @@ def _zauner_unitary(d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _zauner_basis(d: int) -> np.ndarray:
+def _zauner_basis(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orthonormal columns spanning the largest eigenspace of Zauner's
-    unitary, of dimension floor(d/3) + 1. At d = 2 mod 3 two eigenspaces
-    have that dimension; of the eigenvalues c^(1/3) e^(2 pi i k/3),
-    k = 0, 1, 2, from the principal cube root of U^3 = c I, the first
-    wins. The last 16 dimensions searched keep their basis, which costs
-    an eigh of a d x d matrix to build."""
+    unitary, of dimension floor(d/3) + 1, with the moment rows and weights
+    a restart there evaluates (see the module docstring). At d = 2 mod 3
+    two eigenspaces have that dimension; of the eigenvalues
+    c^(1/3) e^(2 pi i k/3), k = 0, 1, 2, from the principal cube root of
+    U^3 = c I, the first wins. The last 16 dimensions searched keep their
+    basis, rows and weights, which cost an eigh of a d x d matrix to build
+    and take about 11 d^2 bytes."""
     u = _zauner_unitary(d)
     u2 = u @ u
     cube = complex(u2[0] @ u[:, 0])  # (U^3)[0, 0]
@@ -222,8 +244,16 @@ def _zauner_basis(d: int) -> np.ndarray:
     w = max(roots, key=lambda w: round((d + w * trace_u + w * w * trace_u2).real / 3))
     values, vectors = np.linalg.eigh((np.eye(d) + w * u + w * w * u2) / 3)
     basis = vectors[:, values > 0.5]
-    basis.setflags(write=False)
-    return basis
+    r = np.arange(d)
+    in_rows = np.minimum(r, d - r) <= d // 3
+    rows = np.flatnonzero(in_rows)
+    # the orbit of (i, j) has rows +-i, +-j and +-(i + j), each the row of
+    # two of G's six elements; i is in R, and R = -R
+    weights = 3.0 / (1 + in_rows + in_rows[np.add.outer(rows, r) % d])
+    weights[0, 0] = 0.0
+    for table in (basis, rows, weights):
+        table.setflags(write=False)
+    return basis, rows, weights
 
 
 def _normalize(psi: np.ndarray) -> np.ndarray:
@@ -233,25 +263,39 @@ def _normalize(psi: np.ndarray) -> np.ndarray:
     return psi / math.sqrt(norm2)
 
 
-def _tangent_gradient(d: int, basis_h: np.ndarray, x: np.ndarray, psi: np.ndarray,
-                      m: np.ndarray, devs: np.ndarray) -> np.ndarray:
+def _space(d: int, zauner: bool) -> tuple[np.ndarray, tuple]:
+    """The orthonormal basis a restart searches over and the tables that
+    evaluate its points: the largest eigenspace of Zauner's unitary with
+    its rows and weights, or else all of C^d with every row."""
+    tables = _tables(d)
+    if not zauner:
+        return np.eye(d), tables
+    basis, rows, weights = _zauner_basis(d)
+    shift, dft, dft_h, _ = tables
+    return basis, (shift[rows], dft, dft_h, weights)
+
+
+def _tangent_gradient(basis_h: np.ndarray, x: np.ndarray, point: tuple,
+                      tables: tuple) -> np.ndarray:
     """The residual's gradient over the coefficients x of psi = basis @ x,
-    less its radial part, from the moments _evaluate gave for psi."""
-    g = (basis_h @ _descent(d, psi, m, devs)).view(float)
+    less its radial part, from the point _evaluate gave for psi."""
+    g = (basis_h @ _descent(point, tables)).view(float)
     return g - g.dot(x) * x
 
 
 def _single_run(config: SearchConfig, psi0: np.ndarray, restart_index: int,
-                basis: np.ndarray) -> RestartResult:
-    """One L-BFGS restart from psi0 over the span of basis's orthonormal
-    columns. The coefficients are real vectors, the real and imaginary
-    part of each complex coefficient side by side, so every inner product
-    of the recursion is one real dot product."""
+                zauner: bool) -> RestartResult:
+    """One L-BFGS restart from psi0, over the largest eigenspace of Zauner's
+    unitary and its rows and weights, or else over all of C^d. The
+    coefficients are real vectors, the real and imaginary part of each
+    complex coefficient side by side, so every inner product of the
+    recursion is one real dot product."""
     d = config.dimension
+    basis, tables = _space(d, zauner)
     basis_h = basis.conj().T
     x = _normalize(basis_h @ np.asarray(psi0, dtype=complex).reshape(d)).view(float)
     psi = basis @ x.view(complex)
-    residual, m, devs = _evaluate(d, psi)
+    residual, point = _evaluate(psi, tables)
     iterations = 0
     converged = residual < config.tolerance
     stop_reason = "budget"
@@ -262,7 +306,7 @@ def _single_run(config: SearchConfig, psi0: np.ndarray, restart_index: int,
     scale = 1.0
     while not converged and iterations < config.max_iterations:
         if gradient is None:
-            gradient = _tangent_gradient(d, basis_h, x, psi, m, devs)
+            gradient = _tangent_gradient(basis_h, x, point, tables)
         if gradient.dot(gradient) < 1e-36:  # |gradient| < 1e-18
             stop_reason = "zero_gradient"
             break
@@ -285,9 +329,10 @@ def _single_run(config: SearchConfig, psi0: np.ndarray, restart_index: int,
         iterations += 1
         alpha, step = 1.0, q
         for _ in range(MAX_HALVINGS + 1):
-            trial = _normalize(x - step)
+            trial = x - step
+            trial /= math.sqrt(trial.dot(trial))
             trial_psi = basis @ trial.view(complex)
-            value, trial_m, trial_devs = _evaluate(d, trial_psi)
+            value, trial_point = _evaluate(trial_psi, tables)
             if value <= residual + ARMIJO * alpha * slope:
                 break
             alpha *= 0.5
@@ -295,8 +340,7 @@ def _single_run(config: SearchConfig, psi0: np.ndarray, restart_index: int,
         else:
             stop_reason = "stalled"
             break
-        new_gradient = _tangent_gradient(d, basis_h, trial, trial_psi, trial_m,
-                                         trial_devs)
+        new_gradient = _tangent_gradient(basis_h, trial, trial_point, tables)
         s = trial - x
         y = new_gradient - gradient
         sy = s.dot(y)
@@ -306,8 +350,8 @@ def _single_run(config: SearchConfig, psi0: np.ndarray, restart_index: int,
             if len(pairs) > MEMORY:
                 del pairs[0]
         small = residual - value < MIN_DECREASE * residual
-        x, psi, residual, m, devs, gradient = (trial, trial_psi, value, trial_m,
-                                              trial_devs, new_gradient)
+        x, psi, residual, point, gradient = (trial, trial_psi, value, trial_point,
+                                             new_gradient)
         converged = residual < config.tolerance
         if small and not converged:
             stop_reason = "stalled"
@@ -340,26 +384,25 @@ def search(config: SearchConfig,
     results: list[RestartResult] = []
     for k in range(config.restarts):
         if k == 0 and initial is not None:
-            psi0, basis = initial, np.eye(d)
+            result = _single_run(config, initial, k, zauner=False)
         else:
             rng = np.random.default_rng([config.rng_seed, k])
             psi0 = rng.normal(size=d) + 1j * rng.normal(size=d)
-            basis = _zauner_basis(d)
-        result = _single_run(config, psi0, k, basis)
+            result = _single_run(config, psi0, k, zauner=True)
         results.append(result)
         if result.converged:
             break
     best = min(results, key=lambda r: r.residual)
-    _, _, devs = _evaluate(d, best.fiducial)
+    _, (_, m, weighted) = _full(d, best.fiducial)
     return SearchResult(
         dimension=d,
         converged=best.converged,
         residual=best.residual,
-        sic_defect=float(np.abs(devs).max()),
+        sic_defect=float(np.abs(weighted).max()),
         fiducial=best.fiducial,
         restart_index=best.restart_index,
         iterations=best.iterations,
-        fourth_moment=fourth_moment(d, best.fiducial),
+        fourth_moment=float(np.sum(np.abs(m) ** 4)),
         restarts=tuple(results),
     )
 
@@ -376,7 +419,8 @@ def extract_phases(psi: np.ndarray) -> np.ndarray:
     d = psi.shape[0]
     psi = _normalize(psi.reshape(d))
     tau = tau_phase(d) ** (np.outer(range(d), range(d)) % (2 * d))  # tau^(2d) = 1
-    phases = np.sqrt(d + 1.0) * tau * _moments(d, psi)
+    _, (_, m, _) = _full(d, psi)
+    phases = np.sqrt(d + 1.0) * tau * m
     moduli = np.abs(phases.flat[1:])
     worst = float(np.max(np.abs(moduli - 1.0)))
     if worst > PHASE_TOLERANCE:

@@ -7,8 +7,13 @@ residual and gradient from the public `sic_residual` and
 and gradient, so the moments table of each accepted point is built
 twice. `sicfield.search._single_run` carries that table instead. The
 coefficients are real vectors, the real and imaginary part of each
-complex coefficient side by side, as in `_single_run`, so the two must
-agree bit for bit.
+complex coefficient side by side, as in `_single_run`. Over all of C^d
+(a warm start) both read every moment with weight 1, so the two must
+agree bit for bit. In the Zauner eigenspace `_single_run` reads only
+the rows that meet each symmetry orbit, weighted, which equals the full
+residual there up to rounding: the two must take the same iterations
+and stop for the same reason, at residuals within 1e-12 of each other,
+relative to max(1, residual).
 
 `gauss_jordan` is the textbook reduced row echelon form over Fraction,
 row by row, for `sicfield.linalg`, which reads its reduced form off the

@@ -113,6 +113,22 @@ class TestMinpoly:
         assert code == 0
         assert out.strip() == "t^4 - 6t^2 + 4"
 
+    def test_leading_minus_sign_after_a_double_dash(self, capsys):
+        # -u is a conjugate of u, so it has u's octic
+        code, out, _ = run_cli(capsys, "minpoly", "--", "-u")
+        assert code == 0
+        assert out.strip() == "t^8 - 2t^6 - 2t^4 - 2t^2 + 1"
+
+    def test_leading_minus_sign_alone_is_a_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "minpoly", "-u")
+        assert code == 2
+        assert err.splitlines()[-1].startswith("sicfield minpoly: error:")
+
+    def test_help_says_how_to_write_a_leading_minus_sign(self, capsys):
+        code, out, _ = run_cli(capsys, "minpoly", "--help")
+        assert code == 0
+        assert "sicfield minpoly -- -u" in " ".join(out.split())
+
     def test_json_report_shape(self, capsys):
         code, reports = run_json(capsys, "minpoly", "u + 1/u")
         assert code == 0

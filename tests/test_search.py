@@ -258,6 +258,18 @@ class TestSearch:
     def test_dimensions_in_the_twenties_converge(self, d):
         assert search(SearchConfig(dimension=d, restarts=40)).converged
 
+    @pytest.mark.parametrize("d, max_iterations", ((2, 100), (5, 100), (12, 100),
+                                                   (24, 40), (31, 40)))
+    def test_each_residual_is_the_residual_at_its_fiducial(self, d, max_iterations):
+        # Zauner restarts sum weighted rows, yet report the full residual
+        result = search(SearchConfig(dimension=d, restarts=3, rng_seed=4,
+                                     max_iterations=max_iterations))
+        for restart in result.restarts:
+            want = sic_residual(d, restart.fiducial)
+            assert abs(restart.residual - want) <= 1e-12 * max(1, want)
+            assert restart.converged == (restart.residual < 1e-10)
+        assert result.fourth_moment == fourth_moment(d, result.fiducial)
+
     @pytest.mark.parametrize("d, restarts", ((5, 16), (7, 1)))
     def test_sic_defect_is_the_largest_overlap_deviation(self, d, restarts):
         result = search(SearchConfig(dimension=d, restarts=restarts, max_iterations=5))
@@ -294,24 +306,31 @@ class TestDescentLoop:
                                   for k, p in enumerate(DESCENT_PROBLEMS)])
     def test_matches_the_reference_loop_bitwise(self, d, start, max_iterations,
                                                 tolerance, warm):
+        # a warm start reads every moment, as the reference does, so the two
+        # agree bit for bit; a Zauner restart reads weighted rows that meet
+        # every symmetry orbit, which equals the full residual on the
+        # eigenspace only up to rounding (TestZaunerRows)
         config = SearchConfig(dimension=d, max_iterations=max_iterations,
                               tolerance=tolerance)
-        basis = np.eye(d) if warm else _zauner_basis(d)
-        got = _single_run(config, start, 0, basis)
+        basis = np.eye(d) if warm else _zauner_basis(d)[0]
+        got = _single_run(config, start, 0, zauner=not warm)
         residual, iterations, converged, stop_reason, fiducial = lbfgs_run(
             d, start, basis, max_iterations, tolerance)
-        assert got.residual == residual
         assert got.iterations == iterations
         assert got.converged == converged
         assert got.stop_reason == stop_reason
-        assert np.array_equal(got.fiducial, fiducial)
+        if warm:
+            assert got.residual == residual
+            assert np.array_equal(got.fiducial, fiducial)
+        else:
+            assert abs(got.residual - residual) <= 1e-12 * max(1, residual)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_d3_converges_within_100_iterations(self, seed):
         # the d = 3 fiducials form a continuous family, on which the
         # backtracking descent crawled: 12871 iterations from this start
         got = _single_run(SearchConfig(dimension=3), random_start(3, seed), 0,
-                          _zauner_basis(3))
+                          zauner=True)
         assert got.converged
         assert got.iterations <= 100
 
@@ -336,12 +355,12 @@ class TestScipyCrossCheck:
     @pytest.mark.parametrize("d", range(3, 13))
     def test_same_minima_from_the_same_starts(self, d):
         optimize = pytest.importorskip("scipy.optimize")
-        basis = _zauner_basis(d)
+        basis = _zauner_basis(d)[0]
         objective = subspace_objective(d, basis)
         ours_found = theirs_found = False
         for seed in range(4):
             start = random_start(d, seed)
-            ours = _single_run(SearchConfig(dimension=d), start, 0, basis)
+            ours = _single_run(SearchConfig(dimension=d), start, 0, zauner=True)
             x0 = (basis.conj().T @ start).view(float)
             theirs = optimize.minimize(objective, x0 / np.linalg.norm(x0), jac=True,
                                        method="L-BFGS-B",
@@ -362,12 +381,79 @@ class TestZaunerBasis:
         assert np.abs(u @ u.conj().T - np.eye(d)).max() < 1e-12
         cube = u @ u @ u
         assert np.abs(cube - cube[0, 0] * np.eye(d)).max() < 1e-12
-        basis = _zauner_basis(d)
+        basis = _zauner_basis(d)[0]
         assert basis.shape == (d, d // 3 + 1)
         assert np.abs(basis.conj().T @ basis - np.eye(d // 3 + 1)).max() < 1e-12
         lam = np.vdot(basis[:, 0], u @ basis[:, 0])
         assert abs(abs(lam) - 1) < 1e-12
         assert np.abs(u @ basis - lam * basis).max() < 1e-12
+
+
+def group_images(d):
+    """The images g(i, j) of every (i, j), as index arrays, for the six g
+    of the group G generated by F(i, j) = (j, -i-j) and -I."""
+    i, j = np.indices((d, d))
+    images = [(i, j)]
+    for _ in range(2):
+        a, b = images[-1]
+        images.append((b, (-a - b) % d))
+    return images + [(-a % d, -b % d) for a, b in images]
+
+
+def zauner_state(d, seed):
+    """A random unit vector in the largest eigenspace of Zauner's unitary."""
+    basis = _zauner_basis(d)[0]
+    rng = np.random.default_rng([seed, d])
+    psi = basis @ (rng.normal(size=basis.shape[1]) + 1j * rng.normal(size=basis.shape[1]))
+    return psi / np.linalg.norm(psi)
+
+
+class TestZaunerRows:
+    """A restart in the Zauner eigenspace reads only the moments of rows
+    R = {i : min(i, d - i) <= d // 3}, each deviation weighted by 6 over the
+    number of g in G that keep its row in R. That gives the full residual
+    because |M| is constant on G's orbits there and every orbit meets R."""
+
+    @pytest.mark.parametrize("d", range(3, 49))
+    def test_moduli_are_constant_on_orbits(self, d):
+        _, (_, m, _) = search_module._full(d, zauner_state(d, 1))
+        moduli = np.abs(m)
+        for a, b in group_images(d):
+            assert np.abs(moduli[a, b] - moduli).max() < 1e-12
+
+    @pytest.mark.parametrize("d", range(2, 65))
+    def test_every_orbit_meets_the_rows(self, d):
+        rows = _zauner_basis(d)[1]
+        in_rows = np.isin(np.arange(d), rows)
+        assert np.logical_or.reduce([in_rows[a] for a, _ in group_images(d)]).all()
+        assert len(rows) == 2 * (d // 3) + 1
+
+    @pytest.mark.parametrize("d", range(2, 65))
+    def test_weights_sum_each_orbit_to_its_size(self, d):
+        # summed over the six g, an orbit of size 6/s counts each member s
+        # times, so the weights of its members in R must sum to 6 over g
+        _, rows, weights = _zauner_basis(d)
+        full = np.zeros((d, d))
+        full[rows] = weights
+        totals = sum(full[a, b] for a, b in group_images(d))
+        want = np.full((d, d), 6.0)
+        want[0, 0] = 0.0
+        assert np.array_equal(totals, want)
+
+    @pytest.mark.parametrize("d", range(3, 49))
+    def test_weighted_rows_give_the_full_residual_and_gradient(self, d):
+        psi = zauner_state(d, 2)
+        basis, tables = search_module._space(d, zauner=True)
+        basis_h = basis.conj().T
+        residual, point = search_module._evaluate(psi, tables)
+        want = sic_residual(d, psi)
+        assert abs(residual - want) <= 1e-13 * want
+        x = (basis_h @ psi).view(float)
+        got = search_module._tangent_gradient(basis_h, x, point, tables)
+        grad = residual_gradient(d, psi)
+        g = (basis_h @ (grad[:d] + 1j * grad[d:])).view(float)
+        want = g - g.dot(x) * x
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestStopReason:
@@ -405,7 +491,7 @@ class TestStopReason:
         # a unit vector where the raw gradient vanishes has residual 0, so
         # no real input reaches this; stub the gradient to check the branch
         monkeypatch.setattr(search_module, "_descent",
-                            lambda d, psi, m, devs: np.zeros(d, complex))
+                            lambda point, tables: np.zeros(3, complex))
         result = search(SearchConfig(dimension=3, restarts=1))
         restart = result.restarts[0]
         assert (restart.iterations, restart.converged) == (0, False)
