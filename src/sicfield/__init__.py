@@ -10,11 +10,11 @@ cli modules wrap both in a small language and a command line tool.
 Importing the package runs none of its submodules: each is registered
 in sys.modules (see _lazy) and runs when one of its names is first
 read, as numpy and mpmath do. So `sicfield galois` runs galois, tower
-and polynomials; `verify-d4` and `units` run sic4 and what it imports
-(minpoly, tower, polynomials, weyl, matrices); none of the three runs
-search or expressions, or imports numpy, mpmath or dataclasses. `search`
-runs search and weyl only, as weyl reaches tower and matrices from its
-exact operators alone.
+and polynomials; `verify-d4` runs sic4, tower, polynomials, weyl and
+matrices; `units` sic4, minpoly, tower and polynomials; `discriminant`
+sic4 alone. None runs search or expressions, or imports numpy, mpmath
+or dataclasses. `search` runs search and weyl only, as weyl reaches
+tower and matrices from its exact operators alone.
 """
 
 from ._lazy import lazy_import

@@ -8,7 +8,8 @@ which vanishes exactly on fiducials. Zauner's conjecture, which every
 known Weyl-Heisenberg SIC bears out, puts a fiducial in an eigenspace
 of Zauner's order-3 Clifford unitary; each restart searches the largest
 one, of dimension floor(d/3) + 1, over the coefficients of an
-orthonormal basis built once per d. A warm start searches all of C^d.
+orthonormal basis built once per d. A warm start searches all of C^d
+through the identity map, with no basis matrix: its coefficients are psi.
 
 On that eigenspace |<psi|D(i,j)|psi>| is constant on each orbit of the
 order-6 group G generated by (i, j) -> (j, -i-j) and (i, j) -> (-i, -j),
@@ -263,23 +264,27 @@ def _normalize(psi: np.ndarray) -> np.ndarray:
     return psi / math.sqrt(norm2)
 
 
-def _space(d: int, zauner: bool) -> tuple[np.ndarray, tuple]:
-    """The orthonormal basis a restart searches over and the tables that
-    evaluate its points: the largest eigenspace of Zauner's unitary with
-    its rows and weights, or else all of C^d with every row."""
+def _space(d: int, zauner: bool) -> tuple:
+    """The maps from a restart's coefficients to psi and back, and the
+    tables that evaluate its points: products with an orthonormal basis of
+    the largest eigenspace of Zauner's unitary and with the basis's adjoint,
+    and the eigenspace's rows and weights; or else the identity on all of
+    C^d, and every row. np.asarray returns an array as it is, so a warm
+    start's psi shares memory with its coefficients; nothing writes either
+    once it is built."""
     tables = _tables(d)
     if not zauner:
-        return np.eye(d), tables
+        return np.asarray, np.asarray, tables
     basis, rows, weights = _zauner_basis(d)
     shift, dft, dft_h, _ = tables
-    return basis, (shift[rows], dft, dft_h, weights)
+    return (basis.__matmul__, basis.conj().T.__matmul__,
+            (shift[rows], dft, dft_h, weights))
 
 
-def _tangent_gradient(basis_h: np.ndarray, x: np.ndarray, point: tuple,
-                      tables: tuple) -> np.ndarray:
-    """The residual's gradient over the coefficients x of psi = basis @ x,
-    less its radial part, from the point _evaluate gave for psi."""
-    g = (basis_h @ _descent(point, tables)).view(float)
+def _tangent_gradient(back, x: np.ndarray, point: tuple, tables: tuple) -> np.ndarray:
+    """The residual's gradient over the coefficients x of psi, mapped back
+    from psi's by back, less its radial part; point is _evaluate's at psi."""
+    g = back(_descent(point, tables)).view(float)
     return g - g.dot(x) * x
 
 
@@ -291,10 +296,9 @@ def _single_run(config: SearchConfig, psi0: np.ndarray, restart_index: int,
     complex coefficient side by side, so every inner product of the
     recursion is one real dot product."""
     d = config.dimension
-    basis, tables = _space(d, zauner)
-    basis_h = basis.conj().T
-    x = _normalize(basis_h @ np.asarray(psi0, dtype=complex).reshape(d)).view(float)
-    psi = basis @ x.view(complex)
+    to_psi, back, tables = _space(d, zauner)
+    x = _normalize(back(np.asarray(psi0, dtype=complex).reshape(d))).view(float)
+    psi = to_psi(x.view(complex))
     residual, point = _evaluate(psi, tables)
     iterations = 0
     converged = residual < config.tolerance
@@ -306,7 +310,7 @@ def _single_run(config: SearchConfig, psi0: np.ndarray, restart_index: int,
     scale = 1.0
     while not converged and iterations < config.max_iterations:
         if gradient is None:
-            gradient = _tangent_gradient(basis_h, x, point, tables)
+            gradient = _tangent_gradient(back, x, point, tables)
         if gradient.dot(gradient) < 1e-36:  # |gradient| < 1e-18
             stop_reason = "zero_gradient"
             break
@@ -331,7 +335,7 @@ def _single_run(config: SearchConfig, psi0: np.ndarray, restart_index: int,
         for _ in range(MAX_HALVINGS + 1):
             trial = x - step
             trial /= math.sqrt(trial.dot(trial))
-            trial_psi = basis @ trial.view(complex)
+            trial_psi = to_psi(trial.view(complex))
             value, trial_point = _evaluate(trial_psi, tables)
             if value <= residual + ARMIJO * alpha * slope:
                 break
@@ -340,7 +344,7 @@ def _single_run(config: SearchConfig, psi0: np.ndarray, restart_index: int,
         else:
             stop_reason = "stalled"
             break
-        new_gradient = _tangent_gradient(basis_h, trial, trial_point, tables)
+        new_gradient = _tangent_gradient(back, trial, trial_point, tables)
         s = trial - x
         y = new_gradient - gradient
         sy = s.dot(y)

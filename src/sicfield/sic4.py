@@ -17,12 +17,8 @@ from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple
 
-from . import matrices
+from . import matrices, minpoly, tower, weyl
 from ._lazy import np
-from .matrices import Matrix
-from .minpoly import minimal_polynomial
-from .tower import _U_INVERSE, FieldElement, constant, embed
-from .weyl import _tau_powers, displacement_dagger_sign, monomial
 
 __all__ = [
     "CheckResult",
@@ -50,7 +46,7 @@ class CheckResult(NamedTuple):
     detail: str = ""
 
 
-def canonical_phase_matrix(negate_entry: tuple[int, int] | None = None) -> Matrix:
+def canonical_phase_matrix(negate_entry: tuple[int, int] | None = None) -> matrices.Matrix:
     """The 4x4 table of reconstruction phases, indexed [shift][clock].
 
     The (0, 0) slot belongs to the identity operator, carries no phase,
@@ -58,9 +54,9 @@ def canonical_phase_matrix(negate_entry: tuple[int, int] | None = None) -> Matri
     sign of one phase, which breaks the SIC property and is useful as a
     negative control.
     """
-    u = constant("u")
-    v = _U_INVERSE
-    one = FieldElement.one()
+    u = tower.constant("u")
+    v = tower._U_INVERSE
+    one = tower.FieldElement.one()
     rows = (
         (one, u, -one, v),
         (u, v, -v, v),
@@ -78,50 +74,50 @@ def canonical_phase_matrix(negate_entry: tuple[int, int] | None = None) -> Matri
     )
 
 
-def reconstruct_projector(phases: Matrix | None = None) -> Matrix:
+def reconstruct_projector(phases: matrices.Matrix | None = None) -> matrices.Matrix:
     """Assemble the projector from a phase table, exactly. D(i, j)^dagger
     has tau^(-e) at (k, k + i), so each phase lands in four entries."""
     if phases is None:
         phases = canonical_phase_matrix()
-    powers = _tau_powers()
-    scale = constant("sqrt5") / 20
-    quarter = FieldElement.from_rational(Fraction(1, 4))
-    acc = [[quarter if a == b else FieldElement.zero() for b in range(4)]
+    powers = weyl._tau_powers()
+    scale = tower.constant("sqrt5") / 20
+    quarter = tower.FieldElement.from_rational(Fraction(1, 4))
+    acc = [[quarter if a == b else tower.FieldElement.zero() for b in range(4)]
            for a in range(4)]
     for i, j in _NONTRIVIAL:
         weight = phases[i][j] * scale
-        for k, (row, e) in enumerate(monomial(4, i, j)):
+        for k, (row, e) in enumerate(weyl.monomial(4, i, j)):
             acc[k][row] = acc[k][row] + weight * powers[-e % 8]
     return tuple(tuple(row) for row in acc)
 
 
 @lru_cache(maxsize=1)
-def fiducial_projector() -> Matrix:
+def fiducial_projector() -> matrices.Matrix:
     return reconstruct_projector()
 
 
-def _shift_overlaps(proj: Matrix, i: int) -> list[FieldElement]:
+def _shift_overlaps(proj: matrices.Matrix, i: int) -> list[tower.FieldElement]:
     """Tr(Pi D Pi D^dagger) for D = D(i, j), j = 0..3, for any 4 x 4 Pi.
 
     D|k> = tau^(e_k) |k + i>, so the trace sums Pi[w + i][y + i] Pi[y][w]
     tau^(e_y - e_w) over (w, y), and tau^(e_y - e_w) = tau^(2j(y - w)). With
     the products summed by m = (y - w) mod 4 into S[m], the overlap at every
     j is S[0] + (-1)^j S[2] + tau^(2j) (S[1] + (-1)^j S[3]); tau^2 = sqrt(-1)."""
-    sums = [FieldElement.zero()] * 4
+    sums = [tower.FieldElement.zero()] * 4
     for w in range(4):
         for y in range(4):
             sums[(y - w) % 4] += proj[(w + i) % 4][(y + i) % 4] * proj[y][w]
     even_a, even_b = sums[0] + sums[2], sums[1] + sums[3]
-    odd_a, odd_b = sums[0] - sums[2], _tau_powers()[2] * (sums[1] - sums[3])
+    odd_a, odd_b = sums[0] - sums[2], weyl._tau_powers()[2] * (sums[1] - sums[3])
     return [even_a + even_b, odd_a + odd_b, even_a - even_b, odd_a - odd_b]
 
 
-def overlap(proj: Matrix, i: int, j: int) -> FieldElement:
+def overlap(proj: matrices.Matrix, i: int, j: int) -> tower.FieldElement:
     """Tr(Pi D Pi D^dagger) for D = D(i, j); i and j count mod 4."""
     return _shift_overlaps(proj, i)[j % 4]
 
 
-def verify_sic_projector(proj: Matrix | None = None) -> list[CheckResult]:
+def verify_sic_projector(proj: matrices.Matrix | None = None) -> list[CheckResult]:
     """Run every exact SIC property check and report each one."""
     if proj is None:
         proj = fiducial_projector()
@@ -130,30 +126,30 @@ def verify_sic_projector(proj: Matrix | None = None) -> list[CheckResult]:
         CheckResult("trace_one", matrices.trace(proj) == 1),
         CheckResult("idempotent", matrices.mat_mul(proj, proj) == proj),
     ]
-    target = FieldElement.from_rational(Fraction(1, 5))
+    target = tower.FieldElement.from_rational(Fraction(1, 5))
     table = [_shift_overlaps(proj, i) for i in range(4)]
     for i, j in _NONTRIVIAL:
         value = table[i][j]
         ok = value == target
-        detail = "" if ok else f"value approx {embed(value):.6g}"
+        detail = "" if ok else f"value approx {tower.embed(value):.6g}"
         results.append(CheckResult(f"overlap_{i}{j}", ok, detail))
     return results
 
 
-def hermiticity_symmetry_holds(phases: Matrix | None = None) -> bool:
+def hermiticity_symmetry_holds(phases: matrices.Matrix | None = None) -> bool:
     """Conjugating a phase must land on the phase at the negated index,
     up to the parity sign the displacement adjoint picks up."""
     if phases is None:
         phases = canonical_phase_matrix()
     for i, j in _NONTRIVIAL:
-        sign = displacement_dagger_sign(4, i, j)
+        sign = weyl.displacement_dagger_sign(4, i, j)
         mirrored = phases[(-i) % 4][(-j) % 4]
         if phases[i][j].conjugate() != sign * mirrored:
             return False
     return True
 
 
-def phases_in_inner_field(phases: Matrix | None = None) -> bool:
+def phases_in_inner_field(phases: matrices.Matrix | None = None) -> bool:
     """All 15 phases lie in Q(u): their r parts vanish."""
     if phases is None:
         phases = canonical_phase_matrix()
@@ -167,14 +163,14 @@ class PhaseAudit(NamedTuple):
     minpoly_degree: int
 
 
-def phase_unit_audit(phases: Matrix | None = None) -> list[PhaseAudit]:
+def phase_unit_audit(phases: matrices.Matrix | None = None) -> list[PhaseAudit]:
     """Certify each phase is a unit-modulus algebraic unit."""
     if phases is None:
         phases = canonical_phase_matrix()
     audits = []
     for i, j in _NONTRIVIAL:
         z = phases[i][j]
-        result = minimal_polynomial(z)
+        result = minpoly.minimal_polynomial(z)
         audits.append(PhaseAudit(
             index=(i, j),
             unit_modulus=z * z.conjugate() == 1,
@@ -184,11 +180,11 @@ def phase_unit_audit(phases: Matrix | None = None) -> list[PhaseAudit]:
     return audits
 
 
-def embedded_projector(proj: Matrix | None = None) -> np.ndarray:
+def embedded_projector(proj: matrices.Matrix | None = None) -> np.ndarray:
     """Double-precision image of an exact projector."""
     if proj is None:
         proj = fiducial_projector()
-    return np.array([[embed(entry) for entry in row] for row in proj])
+    return np.array([[tower.embed(entry) for entry in row] for row in proj])
 
 
 class Discriminant(NamedTuple):

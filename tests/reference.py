@@ -42,9 +42,11 @@ read each displacement off its index rule instead.
 structure tensor that `sicfield.tower.FieldElement.__mul__` contracts
 with instead.
 
-`scaled_identity`, `scale`, `mat_vec` and `inner` are the plain matrix
-and vector operations the exact-operator tests need besides the
-products, daggers and traces that `sicfield.sic4` itself uses.
+`mat_mul`, `dagger`, `scaled_identity`, `scale`, `mat_vec` and `inner`
+are plain 4 x 4 matrix and vector operations over FieldElement, written
+here entry by entry so that no reference leans on `sicfield.matrices`,
+whose product and adjoint `sicfield.sic4.verify_sic_projector` checks
+idempotence and hermiticity with.
 
 `parenthesized` renders an expression tree with every operand in
 parentheses, for the parser to read back: it needs no precedence rules
@@ -62,7 +64,6 @@ from sicfield.search import (
     ARMIJO, MAX_HALVINGS, MEMORY, MIN_DECREASE, residual_gradient, sic_residual,
 )
 from sicfield.expressions import BinOp, Literal, Name, Pow, Unary
-from sicfield.matrices import dagger, mat_mul
 from sicfield.tower import FieldElement, constant
 
 
@@ -184,6 +185,15 @@ def render_number(value):
         else:
             dec = Decimal(mpmath.nstr(value, 25))
         return str(ctx.plus(dec))
+
+
+def mat_mul(a, b):
+    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(4)), FieldElement.zero())
+                       for j in range(4)) for i in range(4))
+
+
+def dagger(m):
+    return tuple(tuple(m[j][i].conjugate() for j in range(4)) for i in range(4))
 
 
 def scaled_identity(s):

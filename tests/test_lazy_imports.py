@@ -58,6 +58,7 @@ EXACT_COMMANDS = {
     # a value the double bound does not certify (test_tower's
     # test_fallback_elements), computed by the exact integer sum
     "minpoly-fallback": ["minpoly", "sqrt5 - 2", "--json"],
+    "discriminant": ["discriminant", "--dim", "7", "--json"],
 }
 
 
@@ -102,12 +103,14 @@ def test_zero_prints_zero_without_mpmath():
 
 
 # the modules each exact audit command must not run; none of them
-# imports dataclasses either
+# imports dataclasses either. Of the package, verify-d4 runs sic4, tower,
+# polynomials, weyl and matrices; galois runs galois, tower and
+# polynomials; units runs sic4, minpoly, tower and polynomials
 NOT_RUN = {
-    "verify-d4": {"search", "expressions", "galois"},
-    "verify-d4_corrupt_1-2": {"search", "expressions", "galois"},
+    "verify-d4": {"minpoly", "search", "expressions", "galois"},
+    "verify-d4_corrupt_1-2": {"minpoly", "search", "expressions", "galois"},
     "galois": {"sic4", "weyl", "matrices", "search", "expressions"},
-    "units": {"search", "expressions", "galois"},
+    "units": {"weyl", "matrices", "search", "expressions", "galois"},
 }
 
 
@@ -116,6 +119,14 @@ def test_exact_command_runs_only_its_layers(name):
     _, _, report = run_fresh(EXACT_COMMANDS[name])
     assert "tower" in report["ran"]
     assert not NOT_RUN[name] & set(report["ran"])
+    assert not report["dataclasses"]
+
+
+def test_discriminant_runs_no_field_module():
+    # the discriminant is integer arithmetic: sic4 holds its neighbours as
+    # modules and reads none of them on this path
+    _, _, report = run_fresh(EXACT_COMMANDS["discriminant"])
+    assert report["ran"] == ["_lazy", "cli", "sic4"]
     assert not report["dataclasses"]
 
 

@@ -529,6 +529,14 @@ class TestVerifySplit:
         assert verify_split(RatPoly([-5, 0, 1]), [s5, -s5])
         assert verify_split(RatPoly([-10, 0, 2]), [s5, -s5])  # non-monic ok
 
+    def test_roots_not_closed_under_negation(self):
+        # the golden ratio and its conjugate: negating both roots gives
+        # another polynomial, so a sign slip in each factor t - root shows
+        s5 = constant("sqrt5")
+        roots = [(1 + s5) / 2, (1 - s5) / 2]
+        assert verify_split(RatPoly([-1, -1, 1]), roots)
+        assert not verify_split(RatPoly([-1, -1, 1]), [-root for root in roots])
+
     def test_wrong_multiset_fails(self):
         u = constant("u")
         assert not verify_split(RatPoly([-5, 0, 1]), [u, -u])

@@ -325,6 +325,14 @@ class TestDescentLoop:
         else:
             assert abs(got.residual - residual) <= 1e-12 * max(1, residual)
 
+    def test_warm_start_maps_are_the_identity(self):
+        # a warm start searches C^d with no basis matrix: both maps return
+        # their argument itself, and its tables are those of every row
+        to_psi, back, tables = search_module._space(5, zauner=False)
+        v = random_start(5, 3)
+        assert to_psi(v) is v and back(v) is v
+        assert tables is search_module._tables(5)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_d3_converges_within_100_iterations(self, seed):
         # the d = 3 fiducials form a continuous family, on which the
@@ -443,13 +451,14 @@ class TestZaunerRows:
     @pytest.mark.parametrize("d", range(3, 49))
     def test_weighted_rows_give_the_full_residual_and_gradient(self, d):
         psi = zauner_state(d, 2)
-        basis, tables = search_module._space(d, zauner=True)
-        basis_h = basis.conj().T
+        to_psi, back, tables = search_module._space(d, zauner=True)
+        basis_h = _zauner_basis(d)[0].conj().T
         residual, point = search_module._evaluate(psi, tables)
         want = sic_residual(d, psi)
         assert abs(residual - want) <= 1e-13 * want
-        x = (basis_h @ psi).view(float)
-        got = search_module._tangent_gradient(basis_h, x, point, tables)
+        x = back(psi).view(float)
+        assert np.abs(to_psi(x.view(complex)) - psi).max() < 1e-12
+        got = search_module._tangent_gradient(back, x, point, tables)
         grad = residual_gradient(d, psi)
         g = (basis_h @ (grad[:d] + 1j * grad[d:])).view(float)
         want = g - g.dot(x) * x

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference import dense_displacement, dense_reconstruction
+from reference import dagger, dense_displacement, dense_reconstruction, mat_mul
 
 from conftest import small_fractions
 from sicfield import matrices
@@ -42,9 +42,9 @@ class TestAgainstDenseReference:
         values = set()
         for i, j in NONTRIVIAL:
             d = dense_displacement(i, j)
-            expected = matrices.trace(matrices.mat_mul(
-                matrices.mat_mul(proj, d),
-                matrices.mat_mul(proj, matrices.dagger(d)),
+            expected = matrices.trace(mat_mul(
+                mat_mul(proj, d),
+                mat_mul(proj, dagger(d)),
             ))
             assert overlap(proj, i, j) == expected
             values.add(expected)
@@ -64,8 +64,8 @@ class TestAgainstDenseReference:
             for j in range(4):
                 for a, b in ((i, j), (i + 4, j), (i, j + 4)):
                     d = dense_displacement(a, b)
-                    left = matrices.mat_mul(m, d)
-                    right = matrices.mat_mul(m, matrices.dagger(d))
+                    left = mat_mul(m, d)
+                    right = mat_mul(m, dagger(d))
                     expected = sum((left[x][y] * right[y][x]
                                     for x in range(4) for y in range(4)),
                                    FieldElement.zero())
@@ -135,11 +135,11 @@ class TestProjector:
 
     def test_idempotent_exactly(self):
         proj = fiducial_projector()
-        assert matrices.mat_mul(proj, proj) == proj
+        assert mat_mul(proj, proj) == proj
 
     def test_hermitian_exactly(self):
         proj = fiducial_projector()
-        assert proj == matrices.dagger(proj)
+        assert proj == dagger(proj)
 
     def test_overlaps_are_exactly_one_fifth(self):
         proj = fiducial_projector()
