@@ -11,18 +11,21 @@ minus as part of the atom rule, then * and /, then + and -):
 An integer followed by "/" and another integer is a single rational
 literal, so 1/2 is the number one half while 1/u is a division. Names
 come from the fixed vocabulary of field constants. Parentheses and
-unary minus nest at most MAX_NESTING deep, and evaluation refuses any
+unary minus nest at most MAX_NESTING deep. An integer with more digits
+than one below 2**MAX_VALUE_BITS can have is refused when it is parsed,
+leading zeros of any script not counting, and evaluation refuses any
 literal, power or operation whose value would need more than
 MAX_VALUE_BITS bits.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 from .tower import CONSTANT_NAMES, FieldElement, constant
 
@@ -120,25 +123,21 @@ def _left_chain(node: BinOp) -> list[BinOp]:
 
 
 _TOKEN = re.compile(
-    r"(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()])"
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()])|(?P<bad>\S))"
 )
+
+#: most significant digits an integer below 2**MAX_VALUE_BITS can have
+_MAX_DIGITS = math.ceil(MAX_VALUE_BITS * math.log10(2))
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            raise ExpressionError(
-                f"unexpected character {text[pos]!r}", pos,
-            )
+    for match in _TOKEN.finditer(text):
         kind = match.lastgroup
-        tokens.append((kind, match.group(), pos))
-        pos = match.end()
+        token = (kind, match[kind], match.start(kind))
+        if kind == "bad":
+            raise ExpressionError(f"unexpected character {token[1]!r}", token[2])
+        tokens.append(token)
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -152,86 +151,78 @@ class _Parser:
     def peek(self, ahead: int = 0) -> tuple[str, str, int]:
         return self.tokens[min(self.index + ahead, len(self.tokens) - 1)]
 
-    def advance(self) -> tuple[str, str, int]:
+    def take(self, kind: str, texts: str = "") -> str | None:
+        """The next token's text, consumed, when the token is of this kind
+        and, for an operator, one of texts; else None."""
         token = self.tokens[self.index]
-        if token[0] != "end":
-            self.index += 1
-        return token
+        if token[0] != kind or (texts and token[1] not in texts):
+            return None
+        self.index += 1
+        return token[1]
 
-    def expect_op(self, op: str) -> None:
-        kind, text, pos = self.peek()
-        if kind != "op" or text != op:
-            raise ExpressionError(f"expected {op!r}", pos)
-        self.advance()
+    def integer(self) -> int | None:
+        """The next token's value, consumed, when it is an integer; one with
+        more significant digits than _MAX_DIGITS is refused before int()."""
+        pos = self.tokens[self.index][2]
+        text = self.take("int")
+        if text and len(text) > _MAX_DIGITS:
+            text = text[next((k for k, c in enumerate(text) if int(c)), len(text) - 1):]
+            if len(text) > _MAX_DIGITS:
+                raise ExpressionError(f"integer of {len(text)} digits exceeds the "
+                                      f"{MAX_VALUE_BITS}-bit bound", pos)
+        return text and int(text)
 
     def parse(self) -> Node:
-        node = self.expr()
+        node = self.chain(self.term, "+-")
         kind, text, pos = self.peek()
         if kind != "end":
             raise ExpressionError(f"unexpected token {text!r}", pos)
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
-        while self.peek()[0] == "op" and self.peek()[1] in "+-":
-            op = self.advance()[1]
-            node = BinOp(op, node, self.term())
+    def chain(self, operand: Callable[[], Node], ops: str) -> Node:
+        node = operand()
+        while op := self.take("op", ops):
+            node = BinOp(op, node, operand())
         return node
 
     def term(self) -> Node:
-        node = self.factor()
-        while self.peek()[0] == "op" and self.peek()[1] in "*/":
-            op = self.advance()[1]
-            node = BinOp(op, node, self.factor())
-        return node
+        return self.chain(self.factor, "*/")
 
     def factor(self) -> Node:
         node = self.atom()
-        if self.peek()[0] == "op" and self.peek()[1] == "^":
-            self.advance()
-            node = Pow(node, self.exponent())
+        if self.take("op", "^"):
+            sign = -1 if self.take("op", "-") else 1
+            pos = self.peek()[2]
+            if (exponent := self.integer()) is None:
+                raise ExpressionError("expected an integer exponent", pos)
+            node = Pow(node, sign * exponent)
         return node
 
-    def exponent(self) -> int:
-        sign = 1
-        if self.peek()[0] == "op" and self.peek()[1] == "-":
-            self.advance()
-            sign = -1
-        kind, text, pos = self.peek()
-        if kind != "int":
-            raise ExpressionError("expected an integer exponent", pos)
-        self.advance()
-        return sign * int(text)
-
     def atom(self) -> Node:
-        kind, text, pos = self.peek()
-        if kind == "op" and text in ("(", "-"):
-            self.advance()
+        _, text, pos = self.peek()
+        if self.take("op", "(-"):
             self.depth += 1
             if self.depth > MAX_NESTING:
                 raise ExpressionError(
                     f"expression nested more than {MAX_NESTING} deep", pos,
                 )
             if text == "(":
-                node = self.expr()
-                self.expect_op(")")
+                node = self.chain(self.term, "+-")
+                if not self.take("op", ")"):
+                    raise ExpressionError("expected ')'", self.peek()[2])
             else:
                 node = Unary(self.atom())
             self.depth -= 1
             return node
-        if kind == "int":
-            self.advance()
+        if (value := self.integer()) is not None:
             # a rational literal only when an integer follows the slash
-            if (self.peek()[0], self.peek()[1]) == ("op", "/") and \
-                    self.peek(1)[0] == "int":
-                self.advance()
-                denom = int(self.advance()[1])
+            if self.peek(1)[0] == "int" and self.take("op", "/"):
+                denom = self.integer()
                 if denom == 0:
                     raise ExpressionError("zero denominator", pos)
-                return Literal(Fraction(int(text), denom))
-            return Literal(Fraction(int(text)))
-        if kind == "name":
-            self.advance()
+                return Literal(Fraction(value, denom))
+            return Literal(Fraction(value))
+        if self.take("name"):
             if text not in CONSTANT_NAMES:
                 known = ", ".join(CONSTANT_NAMES)
                 raise ExpressionError(

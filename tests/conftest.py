@@ -1,5 +1,7 @@
+import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import Phase, settings, strategies as st
 
 from sicfield.tower import FieldElement
@@ -29,6 +31,22 @@ def pytest_terminal_summary(terminalreporter):
     for name, passed in _ACCEPTANCE_RESULTS:
         label = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"  [{label}] {name}")
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Python's default limit on the digits int() reads from a string,
+    which sicfield.cli.main lifts for the rest of the process; Python 3.10
+    has none."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    lifted = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(lifted)
 
 
 def small_fractions(max_num: int = 3, max_den: int = 3) -> st.SearchStrategy[Fraction]:

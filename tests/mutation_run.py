@@ -35,6 +35,7 @@ TIMEOUT = 120
 
 SIC4 = "src/sicfield/sic4.py"
 SEARCH = "src/sicfield/search.py"
+EXPRESSIONS = "src/sicfield/expressions.py"
 
 #: (file, old text, new text, test file)
 MUTANTS = [
@@ -93,10 +94,30 @@ MUTANTS = [
      "except ValueError as err:", "tests/test_cli.py"),
     ("src/sicfield/cli.py", "ctx.rounding = ROUND_HALF_EVEN", 'ctx.rounding = "ROUND_HALF_UP"',
      "tests/test_cli.py"),
-    ("src/sicfield/expressions.py", "if a.op != b.op or a.right != b.right:",
+    (EXPRESSIONS, "if a.op != b.op or a.right != b.right:",
      "if a.right != b.right:", "tests/test_expressions.py"),
-    ("src/sicfield/expressions.py", "if self.depth > MAX_NESTING:", "if False:",
+    (EXPRESSIONS, "if self.depth > MAX_NESTING:", "if False:", "tests/test_expressions.py"),
+    # the token scan, the consume test and the operator loop
+    (EXPRESSIONS, "|(?P<bad>\\S))", "|(?P<bad>.))", "tests/test_expressions.py"),
+    (EXPRESSIONS, "BinOp(op, node, operand())", "BinOp(op, operand(), node)",
      "tests/test_expressions.py"),
+    (EXPRESSIONS, "if token[0] != kind or (texts and token[1] not in texts):",
+     "if token[0] != kind:", "tests/test_expressions.py"),
+    (EXPRESSIONS, "Pow(node, sign * exponent)", "Pow(node, exponent)",
+     "tests/test_expressions.py"),
+    # a long literal is bounded by its significant digits, before int()
+    (EXPRESSIONS, "if int(c)), len(text) - 1)", "if c != '0'), len(text) - 1)",
+     "tests/test_expressions.py"),
+    (EXPRESSIONS, "            text = text[next(", "            text = text[0 * next(",
+     "tests/test_cli.py"),
+    (EXPRESSIONS, "math.ceil(MAX_VALUE_BITS * math.log10(2))",
+     "math.floor(MAX_VALUE_BITS * math.log10(2))", "tests/test_expressions.py"),
+    (EXPRESSIONS, "math.ceil(MAX_VALUE_BITS * math.log10(2))",
+     "math.ceil(MAX_VALUE_BITS * math.log10(2)) + 1", "tests/test_expressions.py"),
+    # `python -m sicfield.cli` finds the module already registered and
+    # warns, which only a fresh interpreter with warnings as errors sees
+    ("src/sicfield/__init__.py", '"sic4", "search", "expressions")}',
+     '"sic4", "search", "expressions", "cli")}', "tests/test_golden_cli.py"),
 ]
 
 

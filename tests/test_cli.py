@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from dataclasses import fields
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -14,7 +15,14 @@ from hypothesis import strategies as st
 from reference import render_number as reference_render_number
 
 from sicfield.cli import EXIT_BROKEN_PIPE, build_parser, main, render_number
-from sicfield.expressions import evaluate_expression
+from sicfield.expressions import (
+    ExpressionError,
+    Literal,
+    Name,
+    Pow,
+    evaluate_expression,
+    parse_expression,
+)
 from sicfield.search import SearchConfig
 from sicfield.tower import CONSTANT_NAMES
 
@@ -196,6 +204,26 @@ class TestMinpoly:
         assert err.count("\n") == 1
         assert "8192-bit bound" in err
         assert len(err.encode()) < 200
+
+    # main lifts Python's limit on int() of a long digit string and the
+    # library does not, so the parser's own bound must give both one outcome
+    @pytest.mark.parametrize("text, ast, short", [
+        ("0" * 5000 + "1", Literal(Fraction(1)), "1"),
+        ("1/" + "0" * 5000 + "3", Literal(Fraction(1, 3)), "1/3"),
+        ("u^" + "0" * 5000 + "2", Pow(Name("u"), 2), "u^2"),
+    ], ids=["numerator", "denominator", "exponent"])
+    def test_leading_zeros_parse_alike_in_the_library_and_the_cli(
+            self, capsys, default_digit_limit, text, ast, short):
+        assert parse_expression(text) == ast
+        assert run_cli(capsys, "minpoly", text) == run_cli(capsys, "minpoly", short)
+
+    def test_long_literal_is_refused_alike_in_the_library_and_the_cli(
+            self, capsys, default_digit_limit):
+        with pytest.raises(ExpressionError, match="8192-bit bound at offset 0"):
+            evaluate_expression("1" * 5000)
+        code, out, err = run_cli(capsys, "minpoly", "1" * 5000)
+        assert (code, out) == (2, "")
+        assert "8192-bit bound at offset 0" in err
 
     def test_integers_past_the_string_digit_limit_print(self, capsys):
         # the minimal polynomial has coefficients of more than 4300 digits

@@ -1,3 +1,5 @@
+import string
+import sys
 from fractions import Fraction
 
 import pytest
@@ -115,6 +117,25 @@ class TestParseErrors:
         with pytest.raises(ExpressionError):
             parse_expression("")
 
+    def test_every_unicode_space_separates_tokens(self):
+        spaces = [chr(k) for k in range(sys.maxunicode + 1) if chr(k).isspace()]
+        assert len(spaces) > 20
+        for c in spaces:
+            assert parse_expression(c + "u" + c) == Name("u"), hex(ord(c))
+
+    def test_every_other_character_is_a_digit_or_unexpected(self):
+        tokens = set(string.ascii_letters + string.digits + "_+-*/^()")
+        for k in range(0x3000):
+            c = chr(k)
+            if c.isspace() or c in tokens:
+                continue
+            if c.isdecimal():
+                assert parse_expression(c) == Literal(Fraction(int(c))), hex(k)
+                continue
+            with pytest.raises(ExpressionError, match="unexpected character") as err:
+                parse_expression(c)
+            assert err.value.offset == 0, hex(k)
+
     def test_nesting_limit_counts_parens_and_unary_minus(self):
         pairs = MAX_NESTING // 2
         closing = ")" * pairs
@@ -199,6 +220,22 @@ class TestValueBound:
         with pytest.raises(ValueError, match=f"{MAX_VALUE_BITS}-bit bound"):
             evaluate_expression("1/" + "9" * 2467)
 
+    def test_literal_digits_are_bounded_when_parsed(self):
+        # 10^2466 < 2^8192 < 10^2467: 2467 digits may be in the bound and
+        # are left to evaluation, 2468 never are
+        assert parse_expression("9" * 2467) == Literal(Fraction(10**2467 - 1))
+        for text, offset in [("1" + "0" * 2467, 0), ("1/" + "9" * 2468, 2),
+                             ("u^" + "1" * 5000, 2)]:
+            with pytest.raises(ExpressionError, match=f"{MAX_VALUE_BITS}-bit bound") as err:
+                parse_expression(text)
+            assert err.value.offset == offset
+
+    def test_leading_zeros_of_any_script_do_not_count(self, default_digit_limit):
+        assert parse_expression("0" * 5000 + "1") == Literal(Fraction(1))
+        assert parse_expression("\u0660" * 5000 + "\u0663") == Literal(Fraction(3))
+        assert parse_expression("0" * 3000) == Literal(Fraction(0))
+        assert parse_expression("0" * 3000 + "9" * 2467) == Literal(Fraction(10**2467 - 1))
+
     def test_every_operation_result_is_checked(self):
         assert not evaluate_expression("u^4000 * u^4000").is_zero()
         with pytest.raises(ValueError, match=f"{MAX_VALUE_BITS}-bit bound"):
@@ -253,3 +290,21 @@ def test_formatting_reparses_to_the_same_tree(ast):
             evaluate_expression(rendered)
         return
     assert evaluate_expression(rendered) == expected
+
+
+#: pieces of text: every token kind, known and unknown names, Unicode
+#: spaces and digits, and characters no token takes
+TEXT_PIECES = [*"0123456789+-*/^()", "12", "007", "u", "r", "x", "i", "tau", "sqrt5",
+               "u1", "w", "_u", " ", "\t", "\n", "\xa0", "\u3000", "\x1c", "\u0663",
+               "\u0660", "\u06f5", "\xe9", "@", "\xb2", "?", ".", "**"]
+
+
+@given(st.lists(st.sampled_from(TEXT_PIECES), max_size=24).map("".join))
+@settings(max_examples=400, deadline=None)
+def test_any_text_parses_or_fails_at_an_offset_inside_it(text):
+    try:
+        ast = parse_expression(text)
+    except ExpressionError as err:
+        assert 0 <= err.offset <= len(text)
+        return
+    assert parse_expression(parenthesized(ast)) == ast

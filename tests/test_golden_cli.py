@@ -7,13 +7,17 @@ algebra. These tests read those files and never write them.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from sicfield.cli import main
 
-GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "bench" / "golden"
 EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
 
 CORRUPT_PAIRS = [(i, j) for i in range(4) for j in range(4) if (i, j) != (0, 0)]
@@ -40,6 +44,19 @@ def test_output_matches_golden_bytes(name, capsysbinary):
     out = capsysbinary.readouterr().out
     assert out == (GOLDEN / f"{name}.json").read_bytes()
     assert code == EXIT_CODES[name]
+
+
+# the commands the way the benchmark runs them: a fresh `python -m` from
+# the checkout, no bytecode written, warnings as errors. Calling main in
+# process, as the test above does, cannot see a runpy warning or an
+# import-order fault.
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_fresh_interpreter_matches_golden_bytes(name):
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "sicfield.cli", *COMMANDS[name]],
+                          cwd=ROOT, env=env, capture_output=True, check=False)
+    assert proc.stdout == (GOLDEN / f"{name}.json").read_bytes(), proc.stderr.decode()
+    assert proc.returncode == EXIT_CODES[name], proc.stderr.decode()
 
 
 def test_exact_audit_runs_no_elimination_inverse(monkeypatch, capsysbinary):
