@@ -69,12 +69,16 @@ def render_complex(value: Any) -> str:
 
 
 def serialize_element(elem: tower.FieldElement, precision: str) -> dict:
-    # a double outside the normal float range, an infinity or a nonzero
-    # value that underflowed, gives way to the EXTENDED_DPS value
-    z = None if precision == "extended" else tower.embed(elem)
-    if z is None or not cmath.isfinite(z) or (
-            elem and max(abs(z.real), abs(z.imag)) < sys.float_info.min):
-        z = tower.embed(elem, EXTENDED_DPS)
+    # a rational element rounds from its exact value, a Fraction with imag
+    # 0; otherwise a double outside the normal float range, an infinity or
+    # a nonzero value that underflowed, gives way to the EXTENDED_DPS value
+    if elem.is_rational():
+        z = elem.coords[0]
+    else:
+        z = None if precision == "extended" else tower.embed(elem)
+        if z is None or not cmath.isfinite(z) or (
+                elem and max(abs(z.real), abs(z.imag)) < sys.float_info.min):
+            z = tower.embed(elem, EXTENDED_DPS)
     approx = {"re": render_number(z.real), "im": render_number(z.imag)}
     return {"coords": [str(c) for c in elem.coords], "approx": approx}
 

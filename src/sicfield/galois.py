@@ -12,7 +12,9 @@ m(r^2). The four standard generators are
     g3: u -> u,   r -> 1/r
     g4: u -> r,   r -> u
 
-and they generate a group of order 16 isomorphic to Z2 x D8. Products
+and they generate a group of order 16 isomorphic to Z2 x D8. They are
+the tower's norm steps, defined once in tower (_norm_steps), through
+which FieldElement.inverse takes the norm down the tower. Products
 compose right to left: (sigma * phi)(e) = sigma(phi(e)).
 """
 
@@ -22,14 +24,7 @@ import operator
 from collections import Counter
 from typing import Callable, Collection, Mapping, NamedTuple, Sequence
 
-from .tower import (
-    _R_INVERSE,
-    Automorphism,
-    FieldElement,
-    _conjugation,
-    constant,
-    element_order,
-)
+from .tower import Automorphism, FieldElement, _norm_steps, constant, element_order
 
 __all__ = [
     "Automorphism",
@@ -49,14 +44,8 @@ __all__ = [
 
 
 def standard_generators() -> dict[str, Automorphism]:
-    u = constant("u")
-    r = constant("r")
-    return {
-        "g1": _conjugation(),
-        "g2": Automorphism(-u, -r),
-        "g3": Automorphism(u, _R_INVERSE),
-        "g4": Automorphism(r, u),
-    }
+    g3, g1, g2, g4 = _norm_steps()
+    return {"g1": g1, "g2": g2, "g3": g3, "g4": g4}
 
 
 def _closure(identity, generators: Sequence, product: Callable, act=None, start=None) -> list:

@@ -49,11 +49,9 @@ class MinimalPolynomial(NamedTuple):
 def minimal_polynomial(a: FieldElement) -> MinimalPolynomial:
     """Minimal polynomial of a over Q, from the integer traces of the
     powers of den(a) a by Newton's identities with exact division
-    (tower._power_dependence, which runs once per element; the inverse
-    and the unit and integrality tests read the same result). Its
-    degree divides 16."""
-    coeffs, _ = _power_dependence(a)
-    return MinimalPolynomial(RatPoly(coeffs))
+    (tower._power_dependence, which runs once per element; the unit and
+    integrality tests read the same result). Its degree divides 16."""
+    return MinimalPolynomial(RatPoly(_power_dependence(a)))
 
 
 def is_algebraic_integer(a: FieldElement) -> bool:

@@ -21,15 +21,14 @@ tensor of basis products, and conjugation and the Galois automorphisms
 are integer 16x16 matrices (Automorphism). The trace is one integer
 linear functional, read off the tensor's diagonal. The minimal polynomial
 of a comes from the integer traces of the powers of den(a) a by Newton's
-identities with exact division, checked exactly against the powers of a,
-and the inverse of a from its constant term and the same powers. Those
-powers apply multiplication by a, an integer matrix like an
+identities with exact division, checked exactly against those powers,
+which apply multiplication by a, an integer matrix like an
 automorphism's. One sparse kernel, _apply, builds its columns from rows
 of the tensor as the powers first need them and applies it, so each
 later power costs one matrix-vector product instead of a contraction
-with the tensor. Elements are immutable, so the checked polynomial and
-powers are kept on the element: its minimal polynomial, inverse and unit
-and integrality tests share one computation.
+with the tensor. The inverse of a divides out its norm, taken down the
+tower one quadratic step at a time. Elements are immutable, so the
+checked polynomial and the inverse are kept on the element.
 
 u embeds as the unit-modulus complex number
 (sqrt5 - 1)/(2 sqrt2) + i sqrt(sqrt5 + 1)/2 and r as the real number
@@ -143,8 +142,8 @@ class FieldElement:
     """
 
     # _dependence: what _power_dependence found for this element, once it
-    # has been checked; unset until then
-    __slots__ = ("nums", "den", "_dependence")
+    # has been checked, and _inverse: what inverse returned; unset until then
+    __slots__ = ("nums", "den", "_dependence", "_inverse")
 
     nums: tuple[int, ...]
     den: int
@@ -281,21 +280,31 @@ class FieldElement:
         return _power(self, n, _ONE)
 
     def inverse(self) -> FieldElement:
-        """Multiplicative inverse from the minimal polynomial
-        q_0 + q_1 a + ... + q_n a^n = 0 of a: q_0 != 0 in a field, so
-        1/a = -(q_1 + q_2 a + ... + q_n a^(n-1)) / q_0."""
-        if self.is_zero():
+        """Multiplicative inverse by the norm down the tower: from num = 1
+        and n = a, each map g of _norm_steps that does not fix n takes n
+        one quadratic step down to its relative norm n g(n) and multiplies
+        num by g(n), so a num = n and n ends in Q: 1/a = num / n. An n that
+        ends irrational is an internal fault (AssertionError). The result
+        is kept on a, as the power dependence is, and not pickled."""
+        if hasattr(self, "_inverse"):
+            return self._inverse
+        num, n = _ONE, self
+        for g in _norm_steps():
+            image = g.apply(n)
+            if image != n:
+                num, n = num * image, n * image
+        if not n.is_rational():
+            raise AssertionError("the norm down the tower is not rational")
+        if n.is_zero():
             raise ZeroDivisionError("zero has no inverse")
-        q, powers = _power_dependence(self)
-        if not q[0]:
-            raise ZeroDivisionError("the power dependence has no constant term")
-        den = lcm(*(p.den for p in powers[:-1]))
-        scaled = [[c * (den // p.den) * n for n in p.nums] for c, p in zip(q[1:], powers)]
-        return _reduced([-sum(col) for col in zip(*scaled)], q[0] * den)
+        inverse = _reduced([x * n.den for x in num.nums], num.den * n.nums[0])
+        _SET_INVERSE(self, inverse)
+        return inverse
 
     def conjugate(self) -> FieldElement:
-        """Complex conjugation: u maps to 1/u, r is real and fixed."""
-        return _conjugation().apply(self)
+        """Complex conjugation: u maps to 1/u, r is real and fixed; this is
+        g1, the second of _norm_steps."""
+        return _norm_steps()[1].apply(self)
 
     # -- display -----------------------------------------------------------
 
@@ -317,6 +326,7 @@ class FieldElement:
 _SET_NUMS = FieldElement.nums.__set__
 _SET_DEN = FieldElement.den.__set__
 _SET_DEPENDENCE = FieldElement._dependence.__set__
+_SET_INVERSE = FieldElement._inverse.__set__
 
 
 def _make(nums: tuple[int, ...], den: int) -> FieldElement:
@@ -358,7 +368,7 @@ def _trace() -> tuple[int, ...]:
     return tuple(sum(dict(row[j]).get(j, 0) for j in range(16)) // 2 for row in _structure())
 
 
-def _from_power_sums(sums: Sequence[int], den: int) -> list[int] | None:
+def _from_power_sums(sums: Sequence[int], den: int) -> tuple[int, ...] | None:
     """Primitive integer coefficients, lowest power first, of the
     polynomial of degree n = len(sums) whose roots times den have the
     integer power sums P_k = sums[k - 1], or None when those roots times
@@ -380,7 +390,7 @@ def _from_power_sums(sums: Sequence[int], den: int) -> list[int] | None:
         if rest:
             return None
         e.append(e_k)
-    return _primitive([(-1) ** (n - j) * e[n - j] * den**j for j in range(n + 1)])
+    return tuple(_primitive([(-1) ** (n - j) * e[n - j] * den**j for j in range(n + 1)]))
 
 
 def _apply(columns: Sequence[Sequence[tuple[int, int]] | None],
@@ -396,68 +406,57 @@ def _apply(columns: Sequence[Sequence[tuple[int, int]] | None],
     return out
 
 
-def _power_dependence(a: FieldElement) -> tuple[tuple[int, ...], list[FieldElement]]:
-    """Integer coefficients q_0..q_n of the minimal polynomial of a, so
-    that q_0 + q_1 a + ... + q_n a^n = 0, and the powers 1, a, ..., a^n.
+def _power_dependence(a: FieldElement) -> tuple[int, ...]:
+    """Integer coefficients q_0..q_n of the minimal polynomial m of a, so
+    that q_0 + q_1 a + ... + q_n a^n = 0.
 
-    This rests on [Q(u, r):Q] = 16. In a field of degree 16 the
-    characteristic polynomial of multiplication by a is m^(16/n), where m
-    is the minimal polynomial of a and n, its degree, divides 16. So the
+    This rests on [Q(u, r):Q] = 16: the characteristic polynomial of
+    multiplication by a is then m^(16/n), n = deg m dividing 16, so the
     roots of m times den(a) have the power sums (n/16) Tr(b^k), b = den(a) a,
-    and no polynomial of lower degree annihilates a. b is an integer
-    combination of basis elements, algebraic integers as u, r and c are,
-    so these are integers. At n = 1, 2, 4, 8, 16 in turn, skipping an n
-    where they are not, the candidate is the polynomial with those power
-    sums (_from_power_sums), and the first one with sum q_k a^k = 0,
-    checked exactly, is m. Because of that check a wrong trace or an
-    arithmetic slip raises instead of returning a polynomial that does
-    not annihilate a.
+    integers since b is an integer combination of basis elements,
+    algebraic integers as u, r and c are. At n = 1, 2, 4, 8, 16 in turn,
+    skipping an n where they are not, the candidate is the polynomial
+    with those power sums (_from_power_sums), and the first one with
+    sum q_k a^k = 0, checked exactly, is m; so a wrong trace or an
+    arithmetic slip raises instead of returning a wrong polynomial.
 
-    Multiplication by a is one integer linear map, and _apply both builds
-    and applies it. Column i, the numerators of a basis_i over 2 den(a),
-    is _apply of row i of the structure tensor to a, built the first time
-    a power has a nonzero coordinate i and kept; each power after a is
-    _apply of the columns to the power before. A dense element fills all
-    16 once, reading the 848 tensor entries that every product with it
-    reads, and each power after that takes at most 256 multiply-adds
-    instead of 848; an element of low degree, whose powers stay in a
-    subfield, fills only the columns its powers use.
-
-    FieldElement is immutable, so the result depends on a alone. The
-    call that passes the exact check keeps q and the powers a^2..a^n on
-    a, as tuples, and every later call on a returns them without
-    recomputing. a itself is not kept among its powers, so an element
-    holds no reference to itself and is freed by reference counting; a
-    call that raises keeps nothing.
+    Multiplication by 2b is one integer linear map, and _apply both
+    builds and applies it. Column i, 2b basis_i, is _apply of row i of
+    the structure tensor to a, built the first time a power has a
+    nonzero coordinate i. The powers are the integer vectors
+    v_k = 2^k b^k, each _apply of the columns to the one before, so
+    Tr(b^k) = Tr(v_k) / 2^k, and sum q_k a^k = 0 is
+    sum q_k (2 den(a))^(n-k) v_k = 0 in integers: no power is reduced.
+    A dense element fills all 16 columns once, reading the 848 tensor
+    entries that every product with it reads, and each power after that
+    takes at most 256 multiply-adds instead of 848; an element of low
+    degree, whose powers stay in a subfield, fills only the columns its
+    powers use. The call that passes the exact check keeps q on a, which
+    is immutable; a call that raises keeps nothing.
     """
     if hasattr(a, "_dependence"):
-        q, higher = a._dependence
-        return q, [_ONE, a, *higher]
+        return a._dependence
     trace, table = _trace(), _structure()
-    powers = [_ONE, a]
+    powers = [[1] + [0] * 15]
     times_a: list[tuple[tuple[int, int], ...] | None] = [None] * 16
-    traces = [sum(map(mul, trace, a.nums))]  # Tr(b^k), k = 1, 2, ...
+    traces = []  # Tr(b^k), k = 1, 2, ...
     for n in (1, 2, 4, 8, 16):
-        while len(powers) <= n:
+        for k in range(len(powers), n + 1):
             last = powers[-1]
-            for i, x in enumerate(last.nums):
+            for i, x in enumerate(last):
                 if x and times_a[i] is None:
                     times_a[i] = _sparse(_apply(table[i], a.nums))
-            power = _reduced(_apply(times_a, last.nums), 2 * last.den * a.den)
-            traces.append(sum(map(mul, trace, power.nums)) * a.den ** len(powers)
-                          // power.den)
-            powers.append(power)
+            powers.append(_apply(times_a, last))
+            traces.append(sum(map(mul, trace, powers[k])) >> k)
         if any(n * t % 16 for t in traces[:n]):
             continue
         q = _from_power_sums([n * t // 16 for t in traces[:n]], a.den)
         if q is None:
             continue
-        common = lcm(*(p.den for p in powers))
-        scaled = [c * (common // p.den) for c, p in zip(q, powers)]
-        if not any(sum(map(mul, scaled, column)) for column in zip(*(p.nums for p in powers))):
-            q = tuple(q)
-            _SET_DEPENDENCE(a, (q, tuple(powers[2:])))
-            return q, powers
+        scaled = [c * (2 * a.den) ** (n - k) for k, c in enumerate(q)]
+        if not any(sum(map(mul, scaled, column)) for column in zip(*powers)):
+            _SET_DEPENDENCE(a, q)
+            return q
     raise AssertionError("no candidate annihilates the element within the tower degree")
 
 
@@ -595,9 +594,15 @@ def element_order(g: Automorphism) -> int:
 
 
 @lru_cache(maxsize=1)
-def _conjugation() -> Automorphism:
-    """Complex conjugation u -> 1/u, r -> r, built once; galois's g1 is this map."""
-    return Automorphism(_U_INVERSE, _R)
+def _norm_steps() -> tuple[Automorphism, ...]:
+    """g3, g1, g2 and g4, galois's standard generators, built once: each
+    maps Q(u, r), Q(u), Q(x) and Q(sqrt5) in turn onto itself and
+    generates its Galois group over the next field down. g3: r -> 1/r
+    fixes u; g1: u -> 1/u, complex conjugation, fixes x = u + 1/u;
+    g2: u, r -> -u, -r sends x to -x; g4: u <-> r sends x to
+    r + 1/r = -2/x, so sqrt5 to -sqrt5."""
+    return (Automorphism(_U, _R_INVERSE), Automorphism(_U_INVERSE, _R),
+            Automorphism(-_U, -_R), Automorphism(_R, _U))
 
 
 def substitute(elem: FieldElement, image_u: FieldElement,

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from reference import render_number as reference_render_number
 
-from sicfield.cli import EXIT_BROKEN_PIPE, build_parser, main, render_number
+from sicfield.cli import EXIT_BROKEN_PIPE, build_parser, main, render_number, serialize_element
 from sicfield.expressions import (
     ExpressionError,
     Literal,
@@ -24,7 +24,7 @@ from sicfield.expressions import (
     parse_expression,
 )
 from sicfield.search import SearchConfig
-from sicfield.tower import CONSTANT_NAMES
+from sicfield.tower import CONSTANT_NAMES, FieldElement
 
 DOUBLES = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -245,6 +245,27 @@ class TestMinpoly:
         for precision in ("double", "extended"):
             _, reports = run_json(capsys, "minpoly", "3", "--precision", precision)
             assert reports[0]["details"]["element"]["approx"] == {"re": "3", "im": "0"}
+
+    def test_a_rational_at_a_decimal_tie_prints_alike_at_both_precisions(self, capsys):
+        # 1.000000000035 is halfway between two 12-digit values; its double
+        # lies just above the tie and its 50-digit binary value just below,
+        # and only the exact value rounds to even at both precisions
+        for precision in ("double", "extended"):
+            _, reports = run_json(capsys, "minpoly", "1000000000035/1000000000000",
+                                  "--precision", precision)
+            assert reports[0]["details"]["element"]["approx"] == {
+                "re": "1.00000000004", "im": "0"}
+
+    @given(st.integers(min_value=10**11, max_value=10**12 - 1), st.sampled_from((1, -1)),
+           st.integers(min_value=-400, max_value=400), st.sampled_from(("double", "extended")))
+    @settings(max_examples=60, deadline=None)
+    def test_rationals_at_decimal_ties_print_their_exact_rounding(
+            self, digits, sign, exponent, precision):
+        # 13 significant digits ending in 5, at any scale, even beyond the
+        # double range
+        value = sign * Fraction(10 * digits + 5) * Fraction(10) ** exponent
+        approx = serialize_element(FieldElement.from_rational(value), precision)["approx"]
+        assert approx == {"re": reference_render_number(value), "im": "0"}
 
     def test_value_beyond_the_double_range_prints_its_digits(self, capsys):
         # u1^1000 is about 6e382; its double is an infinity, so the

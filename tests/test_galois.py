@@ -23,7 +23,7 @@ from sicfield.galois import (
 from sicfield.tower import (
     U_MIN_POLY,
     FieldElement,
-    _conjugation,
+    _norm_steps,
     constant,
     defining_relations_hold,
     embed,
@@ -44,8 +44,11 @@ class TestAutomorphismValidation:
             assert isinstance(g, Automorphism)
 
     def test_g1_is_the_conjugation_map(self):
-        # built once: conjugate and g1 apply the same matrix
-        assert standard_generators()["g1"] is _conjugation()
+        # built once: conjugate, the inverse's norm steps and the standard
+        # generators apply the same matrices
+        steps, gens = _norm_steps(), standard_generators()
+        assert all(gens[name] is g for name, g in zip(("g3", "g1", "g2", "g4"), steps))
+        assert U.conjugate() == steps[1].apply(U) == U.inverse()
 
     def test_defining_images(self):
         assert G1.image_u == U.inverse() and G1.image_r == R

@@ -67,7 +67,7 @@ def test_exact_audit_runs_no_elimination_inverse(monkeypatch, capsysbinary):
         raise AssertionError("FieldElement.inverse called")
 
     monkeypatch.setattr(tower.FieldElement, "inverse", no_inverse)
-    for cached in (tower._constants, tower._conjugation, weyl._tau_powers,
+    for cached in (tower._constants, tower._norm_steps, weyl._tau_powers,
                    sic4.fiducial_projector):
         cached.cache_clear()
     for name in ("galois", "verify-d4", "units"):

@@ -173,7 +173,8 @@ class TestAgainstReference:
         # each element's powers have a u coordinate, so the wrong Tr(u)
         # reaches its power sums; the exact check must refuse every candidate.
         # Shared constants keep a dependence found by an earlier test, so
-        # the checks run on fresh equal copies, which must read the trace
+        # the checks run on fresh equal copies, which must read the trace.
+        # The inverse reads no trace, so it stays exact
         wrong = list(tower._trace())
         wrong[1] += 1
         monkeypatch.setattr(tower, "_trace", lambda: tuple(wrong))
@@ -181,15 +182,16 @@ class TestAgainstReference:
                               generic_element(3, 4, 3)):
             with pytest.raises(AssertionError, match="no candidate"):
                 minimal_polynomial(a)
-            with pytest.raises(AssertionError, match="no candidate"):
-                a.inverse()
+            assert a * a.inverse() == 1
 
     @pytest.mark.parametrize("degree", sorted(BASES))
     @given(data=st.data())
     @settings(max_examples=15, deadline=None)
     def test_powers_are_the_products(self, degree, data):
-        # sparse elements are rational polynomials in a constant of the
-        # given degree, dense ones generic; 0 and negative rationals at 1
+        # the power vectors are v_k = 2^k b^k, b = den(a) a, as products
+        # by __mul__, and only as many as the degree needs. Sparse elements
+        # are rational polynomials in a constant of the given degree, dense
+        # ones generic; 0 and negative rationals at 1
         elements = [st.builds(
             lambda base, coeffs: sum((c * base**k for k, c in enumerate(coeffs)),
                                      FieldElement.zero()),
@@ -203,13 +205,27 @@ class TestAgainstReference:
             elements.append(st.builds(generic_element, st.integers(min_value=0, max_value=2**16),
                                       st.integers(min_value=1, max_value=10),
                                       st.integers(min_value=1, max_value=5)))
-        a = data.draw(st.one_of(*elements))
-        _, powers = tower._power_dependence(a)
-        products = [FieldElement.one()]
-        for _ in powers[1:]:
-            products.append(products[-1] * a)
-        assert powers == products
-        assert list(minimal_polynomial(a).monic.coeffs) == reference_minimal_polynomial(a)
+        a, = fresh_copies(data.draw(st.one_of(*elements)))
+        # the powers are the one kind of _apply call whose columns are a
+        # list, the columns built so far, not a tuple of tensor or
+        # automorphism entries
+        powers, apply = [], tower._apply
+
+        def recorded(columns, nums):
+            out = apply(columns, nums)
+            if isinstance(columns, list):
+                powers.append(out)
+            return out
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tower, "_apply", recorded)
+            mp = minimal_polynomial(a)
+        twice_b = 2 * FieldElement(a.nums)
+        products = [twice_b]
+        while len(products) < mp.degree:
+            products.append(products[-1] * twice_b)
+        assert [FieldElement(v) for v in powers] == products
+        assert list(mp.monic.coeffs) == reference_minimal_polynomial(a)
         if a:
             assert a * a.inverse() == 1
 
@@ -218,19 +234,21 @@ class TestAgainstReference:
         # applied to a. Each entry u * basis_j of row 1 gains 1 at its
         # first coordinate, a different one for each j, so column 1, which
         # holds a u, is wrong for every nonzero a; each element has a
-        # nonzero u coordinate, so a^2 already reads it. The traces stay
-        # those of the true tensor.
+        # nonzero u coordinate, so a^2 already reads it. The traces and
+        # the norm maps stay those of the true tensor, and the inverse's
+        # products, which read row 1 too, must end in an irrational norm.
         # fresh copies, as above, so that the corrupt column is read
         elements = fresh_copies(constant("u"), constant("tau"), BASES[16][0],
                                 generic_element(3, 4, 3))
         table = list(tower._structure())
         table[1] = tuple(((k, entry + 1), *rest) for (k, entry), *rest in table[1])
         tower._trace()
+        tower._norm_steps()
         monkeypatch.setattr(tower, "_structure", lambda: tuple(table))
         for a in elements:
             with pytest.raises(AssertionError, match="no candidate"):
                 minimal_polynomial(a)
-            with pytest.raises(AssertionError, match="no candidate"):
+            with pytest.raises(AssertionError, match="not rational"):
                 a.inverse()
 
     def test_generic_degree_sixteen_with_64_bit_numerators(self):
@@ -355,9 +373,9 @@ class TestIntegralityAndUnits:
 
 class TestKeptDependence:
     """The checked power dependence is kept on the element it was found
-    for: one computation serves the minimal polynomial, the inverse and
-    the unit and integrality tests, with results equal to a fresh
-    element's."""
+    for: one computation serves the minimal polynomial and the unit and
+    integrality tests, with results equal to a fresh element's. The
+    inverse reads no trace and is kept the same way."""
 
     @pytest.fixture
     def trace_reads(self, monkeypatch):
@@ -386,6 +404,10 @@ class TestKeptDependence:
             is_algebraic_integer(a)
             a.inverse()
             assert len(trace_reads) == 1
+        inverse_first, = fresh_copies(constant("u3"))
+        trace_reads.clear()
+        inverse_first.inverse()
+        assert not trace_reads
 
     def test_computed_once_from_is_unit(self, trace_reads):
         # the unit test asked first computes the one result the others read;
@@ -437,13 +459,13 @@ class TestKeptDependence:
             a.inverse()
         assert kept == fresh and hash(kept) == hash(fresh)
         assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
-        for name in ("nums", "den", "_dependence"):
+        for name in ("nums", "den", "_dependence", "_inverse"):
             with pytest.raises(AttributeError, match="immutable"):
                 setattr(kept, name, None)
 
     def test_no_reference_cycle(self):
-        # a is not kept among its own powers, so it is still freed by
-        # reference counting
+        # neither the kept coefficients nor the kept inverse refer to a, so
+        # it is still freed by reference counting
         a, = fresh_copies(BASES[16][0])
         count = sys.getrefcount(a)
         minimal_polynomial(a)
@@ -451,11 +473,20 @@ class TestKeptDependence:
         assert sys.getrefcount(a) == count
 
     def test_kept_powers_cannot_be_changed(self):
+        # the kept coefficients are a tuple, the kept inverse an immutable
+        # element; neither slot can be set from outside, and neither is
+        # pickled or copied
         a, = fresh_copies(constant("u"))
-        q, powers = tower._power_dependence(a)
-        powers.append(a)
-        assert tower._power_dependence(a)[1] == powers[:-1]
-        assert isinstance(q, tuple)
+        q = tower._power_dependence(a)
+        inverse = a.inverse()
+        assert isinstance(q, tuple) and tower._power_dependence(a) is q
+        assert a.inverse() is inverse
+        for name in ("_dependence", "_inverse"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(a, name, None)
+        for other in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+            assert not hasattr(other, "_dependence") and not hasattr(other, "_inverse")
+            assert other.inverse() == inverse
 
 
 def copiers():

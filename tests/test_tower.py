@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import field_elements, nonzero_field_elements, small_fractions
 from reference import reduce_mod
+from sicfield import tower
 from sicfield.expressions import evaluate_expression
 from sicfield.galois import Automorphism
 from sicfield.polynomials import RatPoly
@@ -160,7 +161,7 @@ class TestNamedConstants:
             raise AssertionError("polynomial division")
 
         monkeypatch.setattr(RatPoly, "__divmod__", no_division)
-        for cached in (tower._constants, tower._structure, tower._conjugation,
+        for cached in (tower._constants, tower._structure, tower._norm_steps,
                        weyl._tau_powers, sic4.fiducial_projector):
             cached.cache_clear()
         for name in CONSTANT_NAMES:
@@ -290,6 +291,94 @@ class TestFieldOps:
             assert hash(x) == hash(x.coords[0])
             if x == q:
                 assert hash(x) == hash(q)
+
+
+#: an element of degree 16 that no norm step fixes
+GENERIC = U + 2 * R + Fraction(1, 3) * U**3 * R
+
+
+def dense_elements(bits: int = 64) -> st.SearchStrategy[FieldElement]:
+    """Nonzero elements whose 16 coordinates have numerators and
+    denominators of up to bits bits."""
+    coordinate = st.builds(Fraction, st.integers(-2**bits, 2**bits),
+                           st.integers(min_value=1, max_value=2**bits))
+    return st.builds(FieldElement, st.lists(coordinate, min_size=16, max_size=16)).filter(bool)
+
+
+def constant_polynomials() -> st.SearchStrategy[FieldElement]:
+    """Nonzero rational polynomials in one named constant, whose norm
+    steps are partly skipped: the element already lies in a subfield."""
+    return st.builds(
+        lambda name, coeffs: sum((c * constant(name)**k for k, c in enumerate(coeffs)),
+                                 FieldElement.zero()),
+        st.sampled_from(CONSTANT_NAMES),
+        st.lists(small_fractions(max_num=5, max_den=4), min_size=1, max_size=4)).filter(bool)
+
+
+def fresh(a: FieldElement) -> FieldElement:
+    """An equal element with no inverse kept from an earlier call."""
+    return FieldElement(a.coords)
+
+
+class Recorder:
+    """A norm step that records each n it is applied to, with its index."""
+
+    def __init__(self, index, g, seen):
+        self.index, self.g, self.seen = index, g, seen
+
+    def apply(self, elem):
+        self.seen.append((self.index, elem))
+        return self.g.apply(elem)
+
+
+class TestNormInverse:
+    @given(st.one_of(dense_elements(), constant_polynomials()))
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_round_trips(self, a):
+        b = fresh(a).inverse()
+        assert a * b == 1
+        assert b.inverse() == a
+
+    @given(st.one_of(dense_elements(bits=8), constant_polynomials()))
+    @settings(max_examples=40, deadline=None)
+    def test_each_norm_is_fixed_by_the_steps_taken(self, a):
+        # n before step k lies in the field that steps 0..k-1 fix, which
+        # certifies the tower: each step halves the field n lies in
+        steps, seen = tower._norm_steps(), []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tower, "_norm_steps",
+                          lambda: tuple(Recorder(k, g, seen) for k, g in enumerate(steps)))
+            b = fresh(a).inverse()
+        assert [k for k, _ in seen] == [0, 1, 2, 3]
+        for k, n in seen:
+            assert all(g.apply(n) == n for g in steps[:k])
+        assert a * b == 1
+
+    def test_a_generic_element_takes_every_step(self):
+        a = GENERIC
+        for k, g in enumerate(tower._norm_steps()):
+            assert g.apply(a) != a, k
+            a = a * g.apply(a)
+        assert a.is_rational() and a
+
+    @pytest.mark.parametrize("dropped", range(4))
+    @given(st.one_of(dense_elements(bits=8), constant_polynomials()))
+    @settings(max_examples=25, deadline=None)
+    def test_a_step_replaced_by_the_identity_never_gives_a_wrong_inverse(self, dropped, a):
+        # the identity fixes every n, so its step is skipped and a generic
+        # norm ends irrational: the inverse raises, and whatever it
+        # returns is still exact
+        steps = list(tower._norm_steps())
+        steps[dropped] = Automorphism.identity()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tower, "_norm_steps", lambda: tuple(steps))
+            with pytest.raises(AssertionError, match="not rational"):
+                fresh(GENERIC).inverse()
+            try:
+                b = fresh(a).inverse()
+            except AssertionError:
+                return
+        assert a * b == 1
 
 
 class TestConjugation:
