@@ -25,11 +25,14 @@ two-loop recursion over the last MEMORY steps, then Armijo backtracking
 from the unit step, normalizing every trial point. A restart stalls
 when MAX_HALVINGS halvings find no Armijo decrease, or when an accepted
 step lowers the residual by less than MIN_DECREASE of itself, so a
-restart caught in a local minimum ends early. Every restart draws its
+restart caught in a local minimum ends early. MIN_DECREASE is 1e-6, the
+loosest decade at which such a stall still agrees with scipy's L-BFGS-B
+to its cross-check's relative 1e-6 up to d = 12. Every restart draws its
 own random stream, so any single restart can be reproduced in
 isolation. Each point costs one moments table: the accepted point's
 table, and the shifted copies of psi it was built from, also give its
-gradient.
+gradient, which the next iteration computes only if it runs, so the
+point a restart ends at costs no gradient.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ __all__ = [
 MEMORY = 3
 MAX_HALVINGS = 20
 ARMIJO = 1e-4
-MIN_DECREASE = 1e-9
+MIN_DECREASE = 1e-6
 #: how far extract_phases lets a phase modulus miss 1
 PHASE_TOLERANCE = 1e-6
 #: largest dimension a search accepts. Memory grows as d^2: the tables
@@ -102,8 +105,8 @@ class RestartResult:
     converged: bool
     fiducial: np.ndarray
     #: why the restart ended: "converged", "stalled" (the line search found
-    #: no lower residual), "budget" (max_iterations ran out) or
-    #: "zero_gradient"
+    #: no lower residual, or a step lowered it by under MIN_DECREASE of
+    #: itself), "budget" (max_iterations ran out) or "zero_gradient"
     stop_reason: str
 
 
@@ -294,7 +297,10 @@ def _single_run(config: SearchConfig, psi0: np.ndarray, restart_index: int,
     unitary and its rows and weights, or else over all of C^d. The
     coefficients are real vectors, the real and imaginary part of each
     complex coefficient side by side, so every inner product of the
-    recursion is one real dot product."""
+    recursion is one real dot product. Each iteration starts with the
+    gradient at x and forms from it the pair (s, y) of the step that
+    reached x, so a restart that converges, stalls or runs out of budget
+    after n iterations computes n gradients, none at the point it ends at."""
     d = config.dimension
     to_psi, back, tables = _space(d, zauner)
     x = _normalize(back(np.asarray(psi0, dtype=complex).reshape(d))).view(float)
@@ -309,8 +315,16 @@ def _single_run(config: SearchConfig, psi0: np.ndarray, restart_index: int,
     pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
     scale = 1.0
     while not converged and iterations < config.max_iterations:
-        if gradient is None:
-            gradient = _tangent_gradient(back, x, point, tables)
+        previous = gradient
+        gradient = _tangent_gradient(back, x, point, tables)
+        if previous is not None:  # the pair of the step that reached x
+            y = gradient - previous
+            sy = s.dot(y)
+            if sy > 0:  # keep H positive definite
+                pairs.append((s, y, 1.0 / sy))
+                scale = sy / y.dot(y)
+                if len(pairs) > MEMORY:
+                    del pairs[0]
         if gradient.dot(gradient) < 1e-36:  # |gradient| < 1e-18
             stop_reason = "zero_gradient"
             break
@@ -344,18 +358,9 @@ def _single_run(config: SearchConfig, psi0: np.ndarray, restart_index: int,
         else:
             stop_reason = "stalled"
             break
-        new_gradient = _tangent_gradient(back, trial, trial_point, tables)
-        s = trial - x
-        y = new_gradient - gradient
-        sy = s.dot(y)
-        if sy > 0:  # keep H positive definite
-            pairs.append((s, y, 1.0 / sy))
-            scale = sy / y.dot(y)
-            if len(pairs) > MEMORY:
-                del pairs[0]
         small = residual - value < MIN_DECREASE * residual
-        x, psi, residual, point, gradient = (trial, trial_psi, value, trial_point,
-                                             new_gradient)
+        s = trial - x
+        x, psi, residual, point = trial, trial_psi, value, trial_point
         converged = residual < config.tolerance
         if small and not converged:
             stop_reason = "stalled"

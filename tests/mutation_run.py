@@ -71,6 +71,13 @@ MUTANTS = [
     (SEARCH, '        else:\n            stop_reason = "stalled"\n',
      '        else:\n            stop_reason = "budget"\n', "tests/test_search.py"),
     (SEARCH, "if not np.isfinite(initial).all():", "if False:", "tests/test_search.py"),
+    # the stall rule the scipy cross-check certifies, the L-BFGS pair formed
+    # where the next gradient is computed, and no gradient at the last point
+    (SEARCH, "MIN_DECREASE = 1e-6", "MIN_DECREASE = 1e-5", "tests/test_search.py"),
+    (SEARCH, "y = gradient - previous", "y = previous - gradient", "tests/test_search.py"),
+    (SEARCH, '    if converged:\n        stop_reason = "converged"\n',
+     '    _tangent_gradient(back, x, point, tables)\n'
+     '    if converged:\n        stop_reason = "converged"\n', "tests/test_search.py"),
     (SEARCH, "@lru_cache(maxsize=1)\ndef _tables", "@lru_cache(maxsize=None)\ndef _tables",
      "tests/test_search.py"),
     ("src/sicfield/minpoly.py", "abs(self.primitive.coeffs[0]) == 1",

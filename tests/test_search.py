@@ -382,6 +382,65 @@ class TestScipyCrossCheck:
         assert ours_found and theirs_found
 
 
+class TestStallRule:
+    """A restart stalls once a step lowers the residual by under
+    MIN_DECREASE of itself. TestScipyCrossCheck certifies the stalls up to
+    d = 12; past it, a stall must end near where the 1000 times tighter
+    rule of 1e-9 ends the same start."""
+
+    @pytest.mark.parametrize("d", (13, 20, 32))
+    def test_stalls_end_near_the_tighter_rules_stall(self, d, monkeypatch):
+        stalls = 0
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            start = rng.normal(size=d) + 1j * rng.normal(size=d)
+            ours = _single_run(SearchConfig(dimension=d), start, 0, zauner=True)
+            if ours.stop_reason != "stalled":
+                continue
+            stalls += 1
+            with monkeypatch.context() as patch:
+                patch.setattr(search_module, "MIN_DECREASE", 1e-9)
+                tight = _single_run(SearchConfig(dimension=d), start, 0, zauner=True)
+            assert ours.residual == pytest.approx(tight.residual, rel=1e-3)
+        assert stalls >= 4
+
+    @pytest.mark.parametrize("d, max_iterations, stop_reason", (
+        (7, 20_000, "converged"), (9, 20_000, "stalled"), (7, 5, "budget"),
+    ))
+    def test_a_restart_computes_one_gradient_per_iteration(
+            self, d, max_iterations, stop_reason, monkeypatch):
+        # the gradient at a restart's last point is never read
+        calls = []
+        tangent_gradient = search_module._tangent_gradient
+
+        def spy(*args):
+            calls.append(None)
+            return tangent_gradient(*args)
+
+        monkeypatch.setattr(search_module, "_tangent_gradient", spy)
+        rng = np.random.default_rng([0, 0])
+        start = rng.normal(size=d) + 1j * rng.normal(size=d)
+        got = _single_run(SearchConfig(dimension=d, max_iterations=max_iterations),
+                          start, 0, zauner=True)
+        assert got.stop_reason == stop_reason
+        assert len(calls) == got.iterations > 0
+
+
+class TestHitRate:
+    def test_d35_hits_from_a_fixed_list_of_starts(self):
+        # at hit rate p a search runs about 1/p restarts, so this bounds its
+        # cost at d = 35: Zauner restarts from these 60 starts found a
+        # fiducial from seeds 5, 30 and 48 under both the 1e-9 and the 1e-6
+        # stall rule; raise the bound with a change that raises the count
+        d = 35
+        hits = 0
+        for seed in range(60):
+            rng = np.random.default_rng([seed, 0])
+            start = rng.normal(size=d) + 1j * rng.normal(size=d)
+            hits += _single_run(SearchConfig(dimension=d), start, 0, zauner=True).converged
+        assert hits >= 3
+
+
 class TestZaunerBasis:
     @pytest.mark.parametrize("d", range(2, 41))
     def test_largest_eigenspace(self, d):
