@@ -63,7 +63,8 @@ MUTANTS = [
      "tests/test_weyl.py"),
     ("src/sicfield/weyl.py", "[((k + i) % d, ", "[((k - i) % d, ", "tests/test_weyl.py"),
     (SEARCH, "np.add.outer(rows, r)", "np.subtract.outer(rows, r)", "tests/test_search.py"),
-    (SEARCH, "(8 * weighted * m)", "(4 * weighted * m)", "tests/test_search.py"),
+    # the gradient's factor 8 lives in the conjugate DFT table
+    (SEARCH, "8 * roots.conj()", "4 * roots.conj()", "tests/test_search.py"),
     (SEARCH, "weights = np.ones((d, d))\n    weights[0, 0] = 0.0\n",
      "weights = np.ones((d, d))\n", "tests/test_search.py"),
     (SEARCH, "phases = np.sqrt(d + 1.0) * tau * m", "phases = np.sqrt(d + 1.0) * m",
@@ -78,6 +79,12 @@ MUTANTS = [
     (SEARCH, '    if converged:\n        stop_reason = "converged"\n',
      '    _tangent_gradient(back, x, point, tables)\n'
      '    if converged:\n        stop_reason = "converged"\n', "tests/test_search.py"),
+    # the squared moduli from one square of M's float view, the residual
+    # as one dot, and the one stored pair's closed form
+    (SEARCH, "squares[:, 1::2]", "squares[:, 0::2]", "tests/test_search.py"),
+    (SEARCH, "np.vdot(weighted, devs)", "np.vdot(weighted, weighted)",
+     "tests/test_search.py"),
+    (SEARCH, "            q = q + (a - rho * y.dot(q)) * s\n", "", "tests/test_search.py"),
     (SEARCH, "@lru_cache(maxsize=1)\ndef _tables", "@lru_cache(maxsize=None)\ndef _tables",
      "tests/test_search.py"),
     ("src/sicfield/minpoly.py", "abs(self.primitive.coeffs[0]) == 1",

@@ -1,8 +1,8 @@
 """Reference implementations that tests compare the library against.
 
 `lbfgs_run` is one restart of the fiducial search written the plain
-way: the two-loop recursion over a list of the last three steps, every
-residual and gradient from the public `sic_residual` and
+way: the general two-loop recursion over a list of the last MEMORY
+steps, every residual and gradient from the public `sic_residual` and
 `residual_gradient`, and the basis applied explicitly to every point
 and gradient, so the moments table of each accepted point is built
 twice. `sicfield.search._single_run` carries that table instead. The
@@ -13,7 +13,8 @@ agree bit for bit. In the Zauner eigenspace `_single_run` reads only
 the rows that meet each symmetry orbit, weighted, which equals the full
 residual there up to rounding: the two must take the same iterations
 and stop for the same reason, at residuals within 1e-12 of each other,
-relative to max(1, residual).
+relative to max(1, residual). MEMORY is 1, the one pair `_single_run`
+keeps in the closed form of this recursion.
 
 `gauss_jordan` is the textbook reduced row echelon form over Fraction,
 row by row, for `sicfield.linalg`, which reads its reduced form off the
@@ -61,10 +62,14 @@ import mpmath
 import numpy as np
 
 from sicfield.search import (
-    ARMIJO, MAX_HALVINGS, MEMORY, MIN_DECREASE, residual_gradient, sic_residual,
+    ARMIJO, MAX_HALVINGS, MIN_DECREASE, residual_gradient, sic_residual,
 )
 from sicfield.expressions import BinOp, Literal, Name, Pow, Unary
 from sicfield.tower import FieldElement, constant
+
+
+#: accepted steps lbfgs_run keeps
+MEMORY = 1
 
 
 def normalize(psi):

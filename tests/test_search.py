@@ -91,6 +91,31 @@ class TestKernel:
         assert peak < 5 * 2**20
 
 
+class TestKernelBits:
+    """The kernel's arithmetic, written out the plain way. The reference
+    loop calls the kernel itself, so only this class sees a change in the
+    kernel's rounding."""
+
+    @pytest.mark.parametrize("d", range(2, 41))
+    def test_matches_the_plain_expressions_bitwise(self, d):
+        r = np.arange(d)
+        shift = np.add.outer(r, r) % d
+        dft = np.exp(2j * np.pi / d * (np.outer(r, r) % d))
+        w = np.ones((d, d))
+        w[0, 0] = 0.0
+        for seed in range(6):
+            psi = random_unit(d, [d, seed])
+            shifted = psi[shift]
+            m = (shifted.conj() * psi) @ dft
+            devs = m.real**2 + m.imag**2 - 1 / (d + 1)
+            weighted = w * devs
+            gradient = ((8 * weighted * m) @ dft.conj() * shifted).sum(axis=0)
+            assert sic_residual(d, psi) == weighted.ravel() @ devs.ravel()
+            assert np.array_equal(residual_gradient(d, psi),
+                                  np.concatenate([gradient.real, gradient.imag]))
+            assert fourth_moment(d, psi) == np.sum(np.abs(m) ** 4)
+
+
 class TestResidual:
     @pytest.mark.parametrize("d", (2, 3, 4))
     def test_vanishes_at_known_fiducials(self, d):
@@ -439,6 +464,15 @@ class TestHitRate:
             start = rng.normal(size=d) + 1j * rng.normal(size=d)
             hits += _single_run(SearchConfig(dimension=d), start, 0, zauner=True).converged
         assert hits >= 3
+
+    def test_small_dimensions_hit_within_the_default_restarts(self):
+        # search-small's dimensions and budget: 109 of these 110 searches
+        # converged with three stored pairs and with one (all but d = 13,
+        # seed 0)
+        hits = sum(search(SearchConfig(dimension=d, rng_seed=seed,
+                                       max_iterations=100)).converged
+                   for d in range(4, 15) for seed in range(10))
+        assert hits >= 109
 
 
 class TestZaunerBasis:
