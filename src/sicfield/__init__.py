@@ -9,12 +9,11 @@ cli modules wrap both in a small language and a command line tool.
 
 Importing the package runs none of its submodules: each is registered
 in sys.modules (see _lazy) and runs when one of its names is first
-read, as numpy and mpmath do. So `sicfield galois` runs galois, tower
-and polynomials; `verify-d4` runs sic4, tower, polynomials, weyl and
-matrices; `units` sic4, minpoly, tower and polynomials; `discriminant`
-sic4 alone. None runs search or expressions, or imports numpy, mpmath
-or dataclasses. `search` runs search and weyl only, as weyl reaches
-tower and matrices from its exact operators alone.
+read, as numpy and mpmath do. So `sicfield galois` runs galois and
+tower; `verify-d4` sic4 and tower; `units` sic4, minpoly, tower and
+polynomials; `discriminant` sic4 alone. None runs search, expressions,
+weyl or matrices, or imports numpy, mpmath or dataclasses. `search`
+runs search only.
 """
 
 from ._lazy import lazy_import

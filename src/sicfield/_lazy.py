@@ -3,8 +3,9 @@
 A registered module is put in sys.modules at once, but its code runs
 only when one of its attributes is first read. numpy and mpmath are
 registered here, and the package registers its own submodules, so a
-command runs only the modules whose names it reads: verify-d4, galois
-and units run neither library, nor search or expressions. numpy is read
+command runs only the modules whose names it reads: verify-d4 runs sic4
+and tower, galois runs galois and tower, and units adds minpoly and
+polynomials to verify-d4's; none runs either library. numpy is read
 by the search and the numeric helpers. mpmath is read only by
 --precision extended and embed(..., dps=...): a default-precision
 embed that the double bound does not certify falls back to an exact

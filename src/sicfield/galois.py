@@ -83,15 +83,19 @@ def multiplication_table(group: Sequence[Automorphism]) -> list[list[int]]:
 
     An automorphism is fixed by the images of u and r, two columns of
     its matrix, so each product is identified from those two columns of
-    the matrix product alone.
+    the matrix product alone. A row applies its automorphism once to
+    each distinct image: the group of 16 sends u and r to the same 8
+    elements.
     """
     images = [(g.image_u, g.image_r) for g in group]
     index = {pair: k for k, pair in enumerate(images)}
+    distinct = set().union(*images)
     table = []
     for a in group:
+        moved = {e: a.apply(e) for e in distinct}
         row = []
         for image_u, image_r in images:
-            k = index.get((a.apply(image_u), a.apply(image_r)))
+            k = index.get((moved[image_u], moved[image_r]))
             if k is None:
                 raise ValueError("sequence is not closed under composition")
             row.append(k)

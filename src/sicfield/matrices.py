@@ -1,12 +1,17 @@
-"""Small dense matrices over the tower field."""
+"""Small dense matrices over the tower field.
+
+The product, adjoint and trace live in sic4, the one module that reads
+them on a command's path; they are imported here, so each name is one
+object in both modules. No command runs this module.
+"""
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from .sic4 import Matrix, dagger, mat_mul, trace
 from .tower import FieldElement
 
-Matrix = tuple[tuple[FieldElement, ...], ...]
 Vector = tuple[FieldElement, ...]
 
 
@@ -39,33 +44,10 @@ def mat_scale(s: FieldElement, a: Matrix) -> Matrix:
     return tuple(tuple(s * x for x in row) for row in a)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, m, p = len(a), len(b), len(b[0])
-    assert all(len(row) == m for row in a)
-    cols = list(zip(*b))
-    return tuple(
-        tuple(
-            sum((a[i][k] * cols[j][k] for k in range(m)), FieldElement.zero())
-            for j in range(p)
-        )
-        for i in range(n)
-    )
-
-
 def mat_vec(a: Matrix, v: Sequence[FieldElement]) -> Vector:
     return tuple(
         sum((x * y for x, y in zip(row, v)), FieldElement.zero()) for row in a
     )
-
-
-def dagger(a: Matrix) -> Matrix:
-    return tuple(
-        tuple(a[j][i].conjugate() for j in range(len(a))) for i in range(len(a[0]))
-    )
-
-
-def trace(a: Matrix) -> FieldElement:
-    return sum((a[k][k] for k in range(len(a))), FieldElement.zero())
 
 
 def inner(v: Sequence[FieldElement], w: Sequence[FieldElement]) -> FieldElement:

@@ -3,44 +3,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
+
+# the integer helpers live with the field arithmetic, so that the field
+# runs without this module; linalg reads _integers_over_lcm from here
+from .tower import _horner, _integers_over_lcm, _power, _primitive
 
 Scalar = Union[int, Fraction]
-
-
-def _integers_over_lcm(values: Iterable[Scalar]) -> tuple[list[int], int]:
-    """Integers n_k and the lcm D of the denominators, with values[k] = n_k / D."""
-    qs = [Fraction(v) for v in values]
-    den = lcm(*(q.denominator for q in qs))
-    return [q.numerator * (den // q.denominator) for q in qs], den
-
-
-def _primitive(ints: Sequence[int]) -> list[int]:
-    """Integers with a nonzero last entry, divided by their content and
-    signed so that entry is positive."""
-    content = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
-    return [n // content for n in ints]
-
-
-def _horner(coeffs: Sequence, x):
-    """sum coeffs[k] x^k by Horner's rule; coeffs is not empty."""
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * x + c
-    return acc
-
-
-def _power(base, n: int, one):
-    """base^n for n >= 0 by square-and-multiply, skipping the last squaring."""
-    result = one
-    while n:
-        if n & 1:
-            result = result * base
-        n >>= 1
-        if n:
-            base = base * base
-    return result
 
 
 class RatPoly:

@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ._lazy import np
-from .weyl import tau_phase
 
 __all__ = [
     "SearchConfig",
@@ -127,6 +126,11 @@ class SearchResult:
     iterations: int
     fourth_moment: float
     restarts: tuple[RestartResult, ...]
+
+
+def tau_phase(d: int) -> complex:
+    """tau = -exp(i pi / d), the phase in D(i, j) = tau^(ij) X^i Z^j."""
+    return -cmath.exp(1j * cmath.pi / d)
 
 
 @lru_cache(maxsize=1)

@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple
 
-from . import matrices, minpoly, tower, weyl
+from . import minpoly, tower
 from ._lazy import np
 
 __all__ = [
@@ -40,13 +40,70 @@ __all__ = [
 _NONTRIVIAL = tuple((i, j) for i in range(4) for j in range(4) if (i, j) != (0, 0))
 
 
+# a string, so that defining the alias reads nothing of tower
+Matrix = tuple[tuple["tower.FieldElement", ...], ...]
+
+
+def monomial(d: int, i: int, j: int) -> list[tuple[int, int]]:
+    """For each column k of D(i, j), its nonzero row and tau exponent.
+
+    D(i, j) = tau^(ij) X^i Z^j with X|k> = |k+1 mod d>, Z|k> = omega^k |k>
+    and omega = tau^2; as tau^(2d) = 1, D(i, j)|k> = tau^(ij + 2jk mod 2d)
+    |k + i mod d>."""
+    return [((k + i) % d, (i * j + 2 * j * k) % (2 * d)) for k in range(d)]
+
+
+def displacement_dagger_sign(d: int, i: int, j: int) -> int:
+    """Sign s in D(i, j)^dagger = s * D(-i, -j), for even d.
+
+    The adjoint picks up (-1)^(i+j) except on the axes, where the tau
+    power is even and no sign appears. In odd dimensions the sign is
+    always +1.
+    """
+    if d % 2 == 1 or i % d == 0 or j % d == 0:
+        return 1
+    return (-1) ** (i + j)
+
+
+@lru_cache(maxsize=1)
+def _tau_powers() -> tuple[tower.FieldElement, ...]:
+    """tau^0 .. tau^7; tau = -exp(i pi / 4) is a primitive eighth root of
+    unity in the tower."""
+    tau = tower.constant("tau")
+    powers = [tower.FieldElement.one()]
+    for _ in range(7):
+        powers.append(powers[-1] * tau)
+    return tuple(powers)
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    n, m, p = len(a), len(b), len(b[0])
+    assert all(len(row) == m for row in a)
+    cols = list(zip(*b))
+    zero = tower.FieldElement.zero()
+    return tuple(
+        tuple(sum((a[i][k] * cols[j][k] for k in range(m)), zero) for j in range(p))
+        for i in range(n)
+    )
+
+
+def dagger(a: Matrix) -> Matrix:
+    return tuple(
+        tuple(a[j][i].conjugate() for j in range(len(a))) for i in range(len(a[0]))
+    )
+
+
+def trace(a: Matrix) -> tower.FieldElement:
+    return sum((a[k][k] for k in range(len(a))), tower.FieldElement.zero())
+
+
 class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-def canonical_phase_matrix(negate_entry: tuple[int, int] | None = None) -> matrices.Matrix:
+def canonical_phase_matrix(negate_entry: tuple[int, int] | None = None) -> Matrix:
     """The 4x4 table of reconstruction phases, indexed [shift][clock].
 
     The (0, 0) slot belongs to the identity operator, carries no phase,
@@ -74,29 +131,29 @@ def canonical_phase_matrix(negate_entry: tuple[int, int] | None = None) -> matri
     )
 
 
-def reconstruct_projector(phases: matrices.Matrix | None = None) -> matrices.Matrix:
+def reconstruct_projector(phases: Matrix | None = None) -> Matrix:
     """Assemble the projector from a phase table, exactly. D(i, j)^dagger
     has tau^(-e) at (k, k + i), so each phase lands in four entries."""
     if phases is None:
         phases = canonical_phase_matrix()
-    powers = weyl._tau_powers()
+    powers = _tau_powers()
     scale = tower.constant("sqrt5") / 20
     quarter = tower.FieldElement.from_rational(Fraction(1, 4))
     acc = [[quarter if a == b else tower.FieldElement.zero() for b in range(4)]
            for a in range(4)]
     for i, j in _NONTRIVIAL:
         weight = phases[i][j] * scale
-        for k, (row, e) in enumerate(weyl.monomial(4, i, j)):
+        for k, (row, e) in enumerate(monomial(4, i, j)):
             acc[k][row] = acc[k][row] + weight * powers[-e % 8]
     return tuple(tuple(row) for row in acc)
 
 
 @lru_cache(maxsize=1)
-def fiducial_projector() -> matrices.Matrix:
+def fiducial_projector() -> Matrix:
     return reconstruct_projector()
 
 
-def _shift_overlaps(proj: matrices.Matrix, i: int) -> list[tower.FieldElement]:
+def _shift_overlaps(proj: Matrix, i: int) -> list[tower.FieldElement]:
     """Tr(Pi D Pi D^dagger) for D = D(i, j), j = 0..3, for any 4 x 4 Pi.
 
     D|k> = tau^(e_k) |k + i>, so the trace sums Pi[w + i][y + i] Pi[y][w]
@@ -108,23 +165,23 @@ def _shift_overlaps(proj: matrices.Matrix, i: int) -> list[tower.FieldElement]:
         for y in range(4):
             sums[(y - w) % 4] += proj[(w + i) % 4][(y + i) % 4] * proj[y][w]
     even_a, even_b = sums[0] + sums[2], sums[1] + sums[3]
-    odd_a, odd_b = sums[0] - sums[2], weyl._tau_powers()[2] * (sums[1] - sums[3])
+    odd_a, odd_b = sums[0] - sums[2], _tau_powers()[2] * (sums[1] - sums[3])
     return [even_a + even_b, odd_a + odd_b, even_a - even_b, odd_a - odd_b]
 
 
-def overlap(proj: matrices.Matrix, i: int, j: int) -> tower.FieldElement:
+def overlap(proj: Matrix, i: int, j: int) -> tower.FieldElement:
     """Tr(Pi D Pi D^dagger) for D = D(i, j); i and j count mod 4."""
     return _shift_overlaps(proj, i)[j % 4]
 
 
-def verify_sic_projector(proj: matrices.Matrix | None = None) -> list[CheckResult]:
+def verify_sic_projector(proj: Matrix | None = None) -> list[CheckResult]:
     """Run every exact SIC property check and report each one."""
     if proj is None:
         proj = fiducial_projector()
     results = [
-        CheckResult("hermitian", proj == matrices.dagger(proj)),
-        CheckResult("trace_one", matrices.trace(proj) == 1),
-        CheckResult("idempotent", matrices.mat_mul(proj, proj) == proj),
+        CheckResult("hermitian", proj == dagger(proj)),
+        CheckResult("trace_one", trace(proj) == 1),
+        CheckResult("idempotent", mat_mul(proj, proj) == proj),
     ]
     target = tower.FieldElement.from_rational(Fraction(1, 5))
     table = [_shift_overlaps(proj, i) for i in range(4)]
@@ -136,24 +193,24 @@ def verify_sic_projector(proj: matrices.Matrix | None = None) -> list[CheckResul
     return results
 
 
-def hermiticity_symmetry_holds(phases: matrices.Matrix | None = None) -> bool:
+def hermiticity_symmetry_holds(phases: Matrix | None = None) -> bool:
     """Conjugating a phase must land on the phase at the negated index,
     up to the parity sign the displacement adjoint picks up."""
     if phases is None:
         phases = canonical_phase_matrix()
     for i, j in _NONTRIVIAL:
-        sign = weyl.displacement_dagger_sign(4, i, j)
+        sign = displacement_dagger_sign(4, i, j)
         mirrored = phases[(-i) % 4][(-j) % 4]
         if phases[i][j].conjugate() != sign * mirrored:
             return False
     return True
 
 
-def phases_in_inner_field(phases: matrices.Matrix | None = None) -> bool:
-    """All 15 phases lie in Q(u): their r parts vanish."""
+def phases_in_inner_field(phases: Matrix | None = None) -> bool:
+    """All 15 phases lie in Q(u): their r parts, numerators 8..15, vanish."""
     if phases is None:
         phases = canonical_phase_matrix()
-    return all(phases[i][j].r_part.is_zero() for i, j in _NONTRIVIAL)
+    return all(not any(phases[i][j].nums[8:]) for i, j in _NONTRIVIAL)
 
 
 class PhaseAudit(NamedTuple):
@@ -163,7 +220,7 @@ class PhaseAudit(NamedTuple):
     minpoly_degree: int
 
 
-def phase_unit_audit(phases: matrices.Matrix | None = None) -> list[PhaseAudit]:
+def phase_unit_audit(phases: Matrix | None = None) -> list[PhaseAudit]:
     """Certify each phase is a unit-modulus algebraic unit."""
     if phases is None:
         phases = canonical_phase_matrix()
@@ -180,7 +237,7 @@ def phase_unit_audit(phases: matrices.Matrix | None = None) -> list[PhaseAudit]:
     return audits
 
 
-def embedded_projector(proj: matrices.Matrix | None = None) -> np.ndarray:
+def embedded_projector(proj: Matrix | None = None) -> np.ndarray:
     """Double-precision image of an exact projector."""
     if proj is None:
         proj = fiducial_projector()

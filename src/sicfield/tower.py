@@ -47,17 +47,60 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
+from . import polynomials
 from ._lazy import mpmath
-from .polynomials import RatPoly, _horner, _integers_over_lcm, _power, _primitive
 
 Scalar = Union[int, Fraction]
 
 #: minimal polynomial of u over Q: t^8 - 2t^6 - 2t^4 - 2t^2 + 1
 _OCTIC = (1, 0, -2, 0, -2, 0, -2, 0, 1)
-U_MIN_POLY = RatPoly(_OCTIC)
 
-#: minimal polynomial of x = u + 1/u over Q: t^4 - 6t^2 + 4
-X_MIN_POLY = RatPoly([4, 0, -6, 0, 1])
+#: coefficients, lowest power first, of U_MIN_POLY, the minimal polynomial
+#: of u, and X_MIN_POLY, that of x = u + 1/u (t^4 - 6t^2 + 4). Each RatPoly
+#: is built and kept on its first read, so that field arithmetic runs no
+#: polynomials module.
+_MIN_POLYS = {"U_MIN_POLY": _OCTIC, "X_MIN_POLY": (4, 0, -6, 0, 1)}
+
+
+def __getattr__(name: str):
+    if name not in _MIN_POLYS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    poly = globals()[name] = polynomials.RatPoly(_MIN_POLYS[name])
+    return poly
+
+
+def _integers_over_lcm(values: Iterable[Scalar]) -> tuple[list[int], int]:
+    """Integers n_k and the lcm D of the denominators, with values[k] = n_k / D."""
+    qs = [Fraction(v) for v in values]
+    den = lcm(*(q.denominator for q in qs))
+    return [q.numerator * (den // q.denominator) for q in qs], den
+
+
+def _primitive(ints: Sequence[int]) -> list[int]:
+    """Integers with a nonzero last entry, divided by their content and
+    signed so that entry is positive."""
+    content = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
+    return [n // content for n in ints]
+
+
+def _horner(coeffs: Sequence, x):
+    """sum coeffs[k] x^k by Horner's rule; coeffs is not empty."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + c
+    return acc
+
+
+def _power(base, n: int, one):
+    """base^n for n >= 0 by square-and-multiply, skipping the last squaring."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
 
 
 def _as_scalar(value: object) -> Fraction | None:
@@ -184,12 +227,12 @@ class FieldElement:
         return tuple(Fraction(n, self.den) for n in self.nums)
 
     @property
-    def u_part(self) -> RatPoly:
-        return RatPoly(self.coords[:8])
+    def u_part(self) -> polynomials.RatPoly:
+        return polynomials.RatPoly(self.coords[:8])
 
     @property
-    def r_part(self) -> RatPoly:
-        return RatPoly(self.coords[8:])
+    def r_part(self) -> polynomials.RatPoly:
+        return polynomials.RatPoly(self.coords[8:])
 
     def is_zero(self) -> bool:
         return not any(self.nums)
@@ -304,7 +347,7 @@ class FieldElement:
     def conjugate(self) -> FieldElement:
         """Complex conjugation: u maps to 1/u, r is real and fixed; this is
         g1, the second of _norm_steps."""
-        return _norm_steps()[1].apply(self)
+        return _norm_step(1).apply(self)
 
     # -- display -----------------------------------------------------------
 
@@ -593,6 +636,17 @@ def element_order(g: Automorphism) -> int:
     raise ValueError("element order exceeds the field degree")
 
 
+#: the images of u and r under g3, g1, g2 and g4, the steps of _norm_steps
+_STEP_IMAGES = ((_U, _R_INVERSE), (_U_INVERSE, _R), (-_U, -_R), (_R, _U))
+
+
+@lru_cache(maxsize=4)
+def _norm_step(k: int) -> Automorphism:
+    """Step k of _norm_steps, built and checked on first use, so that
+    conjugation builds g1 alone."""
+    return Automorphism(*_STEP_IMAGES[k])
+
+
 @lru_cache(maxsize=1)
 def _norm_steps() -> tuple[Automorphism, ...]:
     """g3, g1, g2 and g4, galois's standard generators, built once: each
@@ -601,8 +655,7 @@ def _norm_steps() -> tuple[Automorphism, ...]:
     fixes u; g1: u -> 1/u, complex conjugation, fixes x = u + 1/u;
     g2: u, r -> -u, -r sends x to -x; g4: u <-> r sends x to
     r + 1/r = -2/x, so sqrt5 to -sqrt5."""
-    return (Automorphism(_U, _R_INVERSE), Automorphism(_U_INVERSE, _R),
-            Automorphism(-_U, -_R), Automorphism(_R, _U))
+    return tuple(map(_norm_step, range(4)))
 
 
 def substitute(elem: FieldElement, image_u: FieldElement,

@@ -9,21 +9,22 @@ Z|k> = omega^k |k>, and the displacement is D(i, j) = tau^(ij) X^i Z^j
 indexed row-major so that the orbit of a fiducial lists D(i, j) psi at
 position i*d + j.
 
-Every operator is built from one rule, `monomial`: since omega = tau^2
-and tau^(2d) = 1, D(i, j)|k> = tau^(ij + 2jk mod 2d) |k + i mod d>.
-
-Only the exact operators read tower and matrices, through the package's
-lazily registered submodules, so the numeric ones run neither module.
+Every operator is built from one rule, sic4's `monomial`: since
+omega = tau^2 and tau^(2d) = 1, D(i, j)|k> = tau^(ij + 2jk mod 2d)
+|k + i mod d>. The rule, the adjoint sign and the exact tau powers live
+in sic4, and tau_phase in search, the one module that reads each on a
+command's path; they are imported here, so each name is one object in
+both modules. No command runs this module.
 """
 
 from __future__ import annotations
 
-import cmath
-from functools import lru_cache
 from typing import Sequence
 
-from . import matrices, tower
+from . import sic4, tower
 from ._lazy import np
+from .search import tau_phase
+from .sic4 import _tau_powers, displacement_dagger_sign, monomial
 
 __all__ = [
     "tau_phase",
@@ -38,18 +39,9 @@ __all__ = [
 ]
 
 
-def tau_phase(d: int) -> complex:
-    return -cmath.exp(1j * cmath.pi / d)
-
-
 def _check_dimension(d: int) -> None:
     if d < 2:
         raise ValueError("dimension must be at least 2")
-
-
-def monomial(d: int, i: int, j: int) -> list[tuple[int, int]]:
-    """For each column k of D(i, j), its nonzero row and tau exponent."""
-    return [((k + i) % d, (i * j + 2 * j * k) % (2 * d)) for k in range(d)]
 
 
 def clock_shift(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -67,18 +59,6 @@ def displacement(d: int, i: int, j: int) -> np.ndarray:
     for k, (row, e) in enumerate(monomial(d, i, j)):
         out[row, k] = tau**e
     return out
-
-
-def displacement_dagger_sign(d: int, i: int, j: int) -> int:
-    """Sign s in D(i, j)^dagger = s * D(-i, -j), for even d.
-
-    The adjoint picks up (-1)^(i+j) except on the axes, where the tau
-    power is even and no sign appears. In odd dimensions the sign is
-    always +1.
-    """
-    if d % 2 == 1 or i % d == 0 or j % d == 0:
-        return 1
-    return (-1) ** (i + j)
 
 
 def _displaced(d: int, fiducial: Sequence, powers: Sequence, zero) -> list[tuple]:
@@ -104,23 +84,13 @@ def orbit(d: int, fiducial: np.ndarray) -> np.ndarray:
 # -- exact dimension 4 -------------------------------------------------------
 
 
-def clock_shift_exact() -> tuple[matrices.Matrix, matrices.Matrix]:
+def clock_shift_exact() -> tuple[sic4.Matrix, sic4.Matrix]:
     """Exact X and Z in dimension 4; the clock eigenvalues are powers
     of the exact imaginary unit."""
     return displacement_exact(1, 0), displacement_exact(0, 1)
 
 
-@lru_cache(maxsize=1)
-def _tau_powers() -> tuple[tower.FieldElement, ...]:
-    """tau^0 .. tau^7; tau is a primitive eighth root of unity."""
-    tau = tower.constant("tau")
-    powers = [tower.FieldElement.one()]
-    for _ in range(7):
-        powers.append(powers[-1] * tau)
-    return tuple(powers)
-
-
-def displacement_exact(i: int, j: int) -> matrices.Matrix:
+def displacement_exact(i: int, j: int) -> sic4.Matrix:
     """Exact D(i, j) at d = 4 with tau from the tower."""
     powers = _tau_powers()
     rows = [[tower.FieldElement.zero()] * 4 for _ in range(4)]

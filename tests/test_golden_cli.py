@@ -61,14 +61,14 @@ def test_fresh_interpreter_matches_golden_bytes(name):
 
 def test_exact_audit_runs_no_elimination_inverse(monkeypatch, capsysbinary):
     # 1/u and 1/r come from their closed forms, never from FieldElement.inverse
-    from sicfield import sic4, tower, weyl
+    from sicfield import sic4, tower
 
     def no_inverse(self):
         raise AssertionError("FieldElement.inverse called")
 
     monkeypatch.setattr(tower.FieldElement, "inverse", no_inverse)
-    for cached in (tower._constants, tower._norm_steps, weyl._tau_powers,
-                   sic4.fiducial_projector):
+    for cached in (tower._constants, tower._norm_step, tower._norm_steps,
+                   sic4._tau_powers, sic4.fiducial_projector):
         cached.cache_clear()
     for name in ("galois", "verify-d4", "units"):
         code = main(COMMANDS[name])

@@ -103,13 +103,15 @@ def test_zero_prints_zero_without_mpmath():
 
 
 # the modules each exact audit command must not run; none of them
-# imports dataclasses either. Of the package, verify-d4 runs sic4, tower,
-# polynomials, weyl and matrices; galois runs galois, tower and
-# polynomials; units runs sic4, minpoly, tower and polynomials
+# imports dataclasses either. Of the package, verify-d4 runs sic4 and
+# tower, with or without --corrupt; galois runs galois and tower; units
+# runs sic4, minpoly, tower and polynomials, which minpoly reads for RatPoly
 NOT_RUN = {
-    "verify-d4": {"minpoly", "search", "expressions", "galois"},
-    "verify-d4_corrupt_1-2": {"minpoly", "search", "expressions", "galois"},
-    "galois": {"sic4", "weyl", "matrices", "search", "expressions"},
+    "verify-d4": {"minpoly", "polynomials", "weyl", "matrices", "search",
+                  "expressions", "galois"},
+    "verify-d4_corrupt_1-2": {"minpoly", "polynomials", "weyl", "matrices", "search",
+                              "expressions", "galois"},
+    "galois": {"sic4", "polynomials", "weyl", "matrices", "search", "expressions"},
     "units": {"weyl", "matrices", "search", "expressions", "galois"},
 }
 
@@ -131,15 +133,33 @@ def test_discriminant_runs_no_field_module():
 
 
 def test_search_runs_no_exact_module(capsysbinary):
-    # search and weyl's numeric half are all the search reads; weyl reaches
-    # tower and matrices only from its exact operators
+    # the search reads its own module alone: tau_phase lives there
     argv = ["search", "--dim", "3", "--json"]
     code, out, report = run_fresh(argv)
-    assert {"search", "weyl"} <= set(report["ran"])
-    assert not {"tower", "polynomials", "minpoly", "matrices", "sic4", "galois",
-                "expressions"} & set(report["ran"])
+    assert report["ran"] == ["_lazy", "cli", "search"]
     assert any(m.startswith("numpy.") for m in report["loaded"])
     assert (code, out) == run_in_process(argv, capsysbinary)
+
+
+def test_field_arithmetic_runs_no_polynomials():
+    # tower holds its own integer helpers and builds its minimal
+    # polynomials on first read, and conjugation builds g1 alone of the
+    # four norm steps
+    script = """
+import sys, types
+from sicfield import tower
+u, r = tower.constant("u"), tower.constant("r")
+z = (u + r) * u - r / 3
+error = abs(tower.embed(z.conjugate()) - complex(z).conjugate())
+print(tower._norm_step.cache_info().currsize, error < 1e-12)
+print(*sorted(name for name, m in sys.modules.items()
+              if name.startswith("sicfield.") and type(m) is types.ModuleType))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], env=ENV,
+                          capture_output=True, text=True, check=True, timeout=120)
+    steps, ran = proc.stdout.splitlines()
+    assert steps == "1 True"
+    assert ran.split() == ["sicfield._lazy", "sicfield.tower"]
 
 
 def test_bare_import_runs_no_submodule():

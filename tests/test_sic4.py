@@ -115,6 +115,12 @@ class TestPhaseMatrix:
     def test_phases_live_in_the_inner_field(self):
         assert phases_in_inner_field()
 
+    @pytest.mark.parametrize("k", range(16))
+    def test_a_phase_with_an_r_part_leaves_the_inner_field(self, k):
+        phases = [list(row) for row in canonical_phase_matrix()]
+        phases[1][2] = FieldElement([int(m == k) for m in range(16)])
+        assert phases_in_inner_field(phases) == (k < 8)
+
     def test_unit_audit(self):
         audits = phase_unit_audit()
         assert len(audits) == 15

@@ -155,14 +155,14 @@ class TestReductionRules:
 
 class TestNamedConstants:
     def test_built_without_polynomial_division(self, monkeypatch):
-        from sicfield import sic4, tower, weyl
+        from sicfield import sic4, tower
 
         def no_division(self, divisor):
             raise AssertionError("polynomial division")
 
         monkeypatch.setattr(RatPoly, "__divmod__", no_division)
-        for cached in (tower._constants, tower._structure, tower._norm_steps,
-                       weyl._tau_powers, sic4.fiducial_projector):
+        for cached in (tower._constants, tower._structure, tower._norm_step,
+                       tower._norm_steps, sic4._tau_powers, sic4.fiducial_projector):
             cached.cache_clear()
         for name in CONSTANT_NAMES:
             assert constant(name) == _REFERENCE[name]
