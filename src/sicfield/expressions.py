@@ -46,10 +46,9 @@ MAX_NESTING = 100
 
 #: largest numerator or denominator, in bits, that evaluation builds; with
 #: integer coordinates of this size the minimal polynomial takes about
-#: 0.2 s at degree 8 and 2-3.5 s at degree 16, the inverse on its own
-#: 0.2 s and 3-4 s, and the inverse of an element whose minimal polynomial
-#: is already known 0.03 s and 0.4 s (2-core VM, Python 3.11); at half
-#: this size each takes 35-55 % as long
+#: 0.12-0.23 s at degree 8 and 1.7-2.8 s at degree 16, and the inverse,
+#: the norm taken down the tower, 0.05-0.09 s and 0.3-0.4 s (2-core VM,
+#: Python 3.11); at half this size each takes 17-46 % as long
 MAX_VALUE_BITS = 8192
 
 

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .polynomials import RatPoly, palindromic_lift
+from .polynomials import RatPoly, palindrome_reduce, palindromic_lift
 from .tower import FieldElement, _power_dependence
 
 __all__ = [
@@ -63,31 +62,6 @@ def is_unit(a: FieldElement) -> bool:
     """True for algebraic integers whose norm is +-1, i.e. whose monic
     minimal polynomial has integer coefficients and constant term +-1."""
     return minimal_polynomial(a).is_unit
-
-
-def palindrome_reduce(p: RatPoly) -> RatPoly:
-    """Invert the palindromic lift: find q with t^n q(t + 1/t) = p.
-
-    Requires p palindromic of even degree 2n. Peels coefficients from the
-    top down, one per power of t + 1/t.
-    """
-    if p.degree < 2 or p.degree % 2 != 0:
-        raise ValueError("palindrome reduction needs even degree at least 2")
-    if not p.is_palindromic():
-        raise ValueError("polynomial is not palindromic")
-    n = p.degree // 2
-    remainder = p
-    out = [Fraction(0)] * (n + 1)
-    for k in range(n, -1, -1):
-        c = remainder.coefficient(n + k)
-        if c == 0:
-            continue
-        out[k] = c
-        lift = palindromic_lift(RatPoly.monomial(k, c))
-        remainder = remainder - RatPoly.monomial(n - k) * lift
-    if not remainder.is_zero():
-        raise ValueError("polynomial is not a palindromic lift")
-    return RatPoly(out)
 
 
 def verify_split(p: RatPoly, roots: Sequence[FieldElement]) -> bool:

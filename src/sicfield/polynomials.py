@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from math import comb
+from typing import Iterable, Iterator, Union
 
 # the integer helpers live with the field arithmetic, so that the field
 # runs without this module; linalg reads _integers_over_lcm from here
@@ -216,9 +217,15 @@ def _coerce(value: RatPoly | Scalar) -> RatPoly | None:
     return None
 
 
+def _lift_column(n: int, k: int) -> Iterator[tuple[int, int]]:
+    """Column k of the lift of a degree-n p, as (power, coefficient) terms:
+    t^(n-k) (t^2 + 1)^k = sum_i C(k, i) t^(n-k+2i), with top term t^(n+k)."""
+    return ((n - k + 2 * i, comb(k, i)) for i in range(k + 1))
+
+
 def palindromic_lift(p: RatPoly) -> RatPoly:
     """Return t^n * p(t + 1/t) with n the degree of p, the palindromic
-    lift of p.
+    lift of p, the sum over k of p_k times column k.
 
     If z is a root of the lift then z + 1/z is a root of p, which is how a
     degree-n minimal polynomial of a real trace is promoted to the
@@ -227,11 +234,29 @@ def palindromic_lift(p: RatPoly) -> RatPoly:
     n = p.degree
     if n < 0:
         raise ValueError("cannot lift the zero polynomial")
-    # t^n p(t + 1/t) = sum_k p_k t^(n-k) (t^2 + 1)^k
-    shifted = RatPoly((1, 0, 1))
-    out = RatPoly.zero()
+    out = [Fraction(0)] * (2 * n + 1)
     for k, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        out = out + RatPoly.monomial(n - k, c) * shifted**k
-    return out
+        for power, b in _lift_column(n, k):
+            out[power] += b * c
+    return RatPoly(out)
+
+
+def palindrome_reduce(p: RatPoly) -> RatPoly:
+    """Invert the palindromic lift: find q with t^n q(t + 1/t) = p.
+
+    Requires p palindromic of even degree 2n, which makes it a lift: the
+    n + 1 columns span those palindromes. The lift is unit-triangular, so
+    from k = n down q_k is what is left at t^(n+k), and its column goes.
+    """
+    if p.degree < 2 or p.degree % 2 != 0:
+        raise ValueError("palindrome reduction needs even degree at least 2")
+    if not p.is_palindromic():
+        raise ValueError("polynomial is not palindromic")
+    n = p.degree // 2
+    rest = list(p.coeffs)
+    out = [Fraction(0)] * (n + 1)
+    for k in range(n, -1, -1):
+        c = out[k] = rest[n + k]
+        for power, b in _lift_column(n, k):
+            rest[power] -= b * c
+    return RatPoly(out)

@@ -1,9 +1,11 @@
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import Phase, settings, strategies as st
 
+from sicfield.polynomials import RatPoly
 from sicfield.tower import FieldElement
 
 # Every phase but explain: explain traces each line of every run while a
@@ -66,3 +68,22 @@ def field_elements() -> st.SearchStrategy[FieldElement]:
 
 def nonzero_field_elements() -> st.SearchStrategy[FieldElement]:
     return field_elements().filter(lambda e: not e.is_zero())
+
+
+@contextmanager
+def no_polynomial_arithmetic():
+    """While open, every RatPoly sum, difference, negation, product and
+    power raises, so the code run inside provably makes none."""
+    def refuse(*args):
+        raise AssertionError("RatPoly arithmetic called")
+
+    names = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+             "__mul__", "__rmul__", "__pow__")
+    saved = {name: RatPoly.__dict__[name] for name in names}
+    for name in names:
+        setattr(RatPoly, name, refuse)
+    try:
+        yield
+    finally:
+        for name, method in saved.items():
+            setattr(RatPoly, name, method)

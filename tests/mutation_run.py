@@ -93,10 +93,14 @@ MUTANTS = [
      "abs(self.primitive.coeffs[0]) >= 1", "tests/test_minpoly.py"),
     ("src/sicfield/minpoly.py", "self.primitive.coeffs[-1] == 1",
      "self.primitive.coeffs[-1] >= 1", "tests/test_minpoly.py"),
-    ("src/sicfield/minpoly.py", "remainder = remainder - RatPoly.monomial(n - k) * lift",
-     "remainder = remainder + RatPoly.monomial(n - k) * lift", "tests/test_minpoly.py"),
     ("src/sicfield/minpoly.py", "next_coeffs[k] = next_coeffs[k] - c * root",
      "next_coeffs[k] = next_coeffs[k] + c * root", "tests/test_minpoly.py"),
+    # the palindromic lift's one binomial rule, and the back-substitution
+    # that inverts it
+    ("src/sicfield/polynomials.py", "comb(k, i))", "comb(k, i + 1))",
+     "tests/test_polynomials.py"),
+    ("src/sicfield/polynomials.py", "rest[power] -= b * c", "rest[power] += b * c",
+     "tests/test_minpoly.py"),
     ("src/sicfield/linalg.py", "reduced[k][f] = Fraction(-c[p], c[f])",
      "reduced[k][f] = Fraction(c[p], c[f])", "tests/test_linalg.py"),
     ("src/sicfield/linalg.py", "return [Fraction(-a, c[-1]) for a in c[:-1]]",

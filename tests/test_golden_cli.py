@@ -3,7 +3,9 @@
 bench/golden/ holds the --json standard output of verify-d4, of every
 verify-d4 --corrupt I,J pair, of galois and of units, with their exit
 codes, recorded before the exact layer was rewritten as integer linear
-algebra. These tests read those files and never write them.
+algebra. tests/golden/ holds the --json reports of galois and units at
+--precision extended, whose values are printed from 50 digits, not from
+doubles; both exit 0. These tests read those files and never write them.
 """
 
 import json
@@ -57,6 +59,23 @@ def test_fresh_interpreter_matches_golden_bytes(name):
                           cwd=ROOT, env=env, capture_output=True, check=False)
     assert proc.stdout == (GOLDEN / f"{name}.json").read_bytes(), proc.stderr.decode()
     assert proc.returncode == EXIT_CODES[name], proc.stderr.decode()
+
+
+EXTENDED = ROOT / "tests" / "golden"
+EXTENDED_COMMANDS = {
+    "galois_extended": ["galois", "--precision", "extended", "--json"],
+    "units_extended": ["units", "--precision", "extended", "--json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXTENDED_COMMANDS))
+def test_extended_precision_matches_pinned_bytes(name):
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "sicfield.cli",
+                           *EXTENDED_COMMANDS[name]],
+                          cwd=ROOT, env=env, capture_output=True, check=False)
+    assert proc.stdout == (EXTENDED / f"{name}.json").read_bytes(), proc.stderr.decode()
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_exact_audit_runs_no_elimination_inverse(monkeypatch, capsysbinary):

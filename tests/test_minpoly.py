@@ -11,7 +11,12 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import field_elements, nonzero_field_elements, small_fractions
+from conftest import (
+    field_elements,
+    no_polynomial_arithmetic,
+    nonzero_field_elements,
+    small_fractions,
+)
 from reference import minimal_polynomial as reference_minimal_polynomial
 from sicfield import tower
 from sicfield.expressions import evaluate_expression
@@ -540,12 +545,16 @@ class TestPalindromeReduce:
         with pytest.raises(ValueError, match="even degree"):
             palindrome_reduce(RatPoly([1]))
 
-    @given(st.lists(small_fractions(max_num=4, max_den=3), min_size=1, max_size=4),
+    # q up to degree 8, so lifts reach degree 16, the degree of the field;
+    # no RatPoly sum, product or power runs
+    @given(st.lists(small_fractions(max_num=4, max_den=3), min_size=1, max_size=8),
            st.integers(min_value=1, max_value=4))
+    @example(lower=[4, 0, -6, 0], lead_den=1)  # X_MIN_POLY
     @settings(max_examples=40, deadline=None)
     def test_roundtrip(self, lower, lead_den):
         q = RatPoly(lower + [Fraction(1, lead_den)])
-        assert palindrome_reduce(palindromic_lift(q)) == q
+        with no_polynomial_arithmetic():
+            assert palindrome_reduce(palindromic_lift(q)) == q
 
 
 class TestVerifySplit:

@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import no_polynomial_arithmetic
 from sicfield.polynomials import RatPoly, palindromic_lift
+from sicfield.tower import U_MIN_POLY, X_MIN_POLY
 
 
 def rat_polys(max_degree: int = 5) -> st.SearchStrategy[RatPoly]:
@@ -128,6 +130,11 @@ class TestPalindromicLift:
     def test_quartic(self):
         lifted = palindromic_lift(RatPoly([4, 0, -6, 0, 1]))
         assert lifted == RatPoly([1, 0, -2, 0, -2, 0, -2, 0, 1])
+
+    def test_lift_makes_no_polynomial_arithmetic(self):
+        # the lift is one binomial rule on the coefficient list
+        with no_polynomial_arithmetic():
+            assert palindromic_lift(X_MIN_POLY) == U_MIN_POLY
 
     def test_order_must_match_degree(self):
         with pytest.raises(ValueError):
