@@ -77,7 +77,7 @@ def serialize_element(elem: tower.FieldElement, precision: str) -> dict:
     else:
         z = None if precision == "extended" else tower.embed(elem)
         if z is None or not cmath.isfinite(z) or (
-                elem and max(abs(z.real), abs(z.imag)) < sys.float_info.min):
+                max(abs(z.real), abs(z.imag)) < sys.float_info.min):
             z = tower.embed(elem, EXTENDED_DPS)
     approx = {"re": render_number(z.real), "im": render_number(z.imag)}
     return {"coords": [str(c) for c in elem.coords], "approx": approx}

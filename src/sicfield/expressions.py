@@ -249,45 +249,42 @@ _OPERATORS = {
 }
 
 
-def _bits(value: FieldElement) -> int:
-    return max(n.bit_length() for n in (*value.nums, value.den))
-
-
-def _check_size(bits: int) -> None:
+def _checked(value: FieldElement) -> FieldElement:
+    """value, refused when a numerator or its denominator needs more than
+    MAX_VALUE_BITS bits."""
+    bits = max(n.bit_length() for n in (*value.nums, value.den))
     if bits > MAX_VALUE_BITS:
-        raise ValueError(f"value of about {bits} bits exceeds the "
-                         f"{MAX_VALUE_BITS}-bit bound")
+        raise ValueError(f"value of {bits} bits exceeds the {MAX_VALUE_BITS}-bit bound")
+    return value
 
 
 def _evaluate(node: Node) -> FieldElement:
     if isinstance(node, Literal):
-        value = FieldElement.from_rational(node.value)
-        _check_size(_bits(value))
-        return value
+        return _checked(FieldElement.from_rational(node.value))
     if isinstance(node, Name):
         return constant(node.name)
     if isinstance(node, Unary):
         return -_evaluate(node.operand)
     if isinstance(node, Pow):
+        # square-and-multiply with every product checked, so a base whose
+        # powers grow is refused after a few dozen products however long
+        # the exponent, and a root of unity takes one squaring per bit
         base, n = _evaluate(node.base), node.exponent
         if n < 0:
-            base, n = base.inverse(), -n
-        # the bits of base^n grow about n-fold: refuse a power far over the
-        # bound before computing it, and one just over it after; the
-        # estimate is at least n, so a larger n is refused without printing it
-        if n > MAX_VALUE_BITS:
-            raise ValueError(f"a power with exponent over {MAX_VALUE_BITS} exceeds "
-                             f"the {MAX_VALUE_BITS}-bit bound")
-        _check_size(n * max(1, _bits(base)))
-        value = base**n
-        _check_size(_bits(value))
+            base, n = _checked(base.inverse()), -n
+        value = FieldElement.one()
+        while n:
+            if n & 1:
+                value = _checked(value * base)
+            n >>= 1
+            if n:
+                base = _checked(base * base)
         return value
     if isinstance(node, BinOp):
         chain = _left_chain(node)
         value = _evaluate(chain[-1].left)
         for link in reversed(chain):
-            value = _OPERATORS[link.op](value, _evaluate(link.right))
-            _check_size(_bits(value))
+            value = _checked(_OPERATORS[link.op](value, _evaluate(link.right)))
         return value
     raise TypeError(f"not an expression node: {node!r}")
 

@@ -45,12 +45,6 @@ class RatPoly:
     def one(cls) -> RatPoly:
         return cls((1,))
 
-    @classmethod
-    def monomial(cls, power: int, coeff: Scalar = 1) -> RatPoly:
-        if power < 0:
-            raise ValueError("power must be nonnegative")
-        return cls([0] * power + [coeff])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1

@@ -11,10 +11,9 @@ position i*d + j.
 
 Every operator is built from one rule, sic4's `monomial`: since
 omega = tau^2 and tau^(2d) = 1, D(i, j)|k> = tau^(ij + 2jk mod 2d)
-|k + i mod d>. The rule, the adjoint sign and the exact tau powers live
-in sic4, and tau_phase in search, the one module that reads each on a
-command's path; they are imported here, so each name is one object in
-both modules. No command runs this module.
+|k + i mod d>. The rule and the exact tau powers live in sic4, and
+tau_phase in search, the modules that read them on a command's path;
+the builders here import them from there. No command runs this module.
 """
 
 from __future__ import annotations
@@ -24,14 +23,11 @@ from typing import Sequence
 from . import sic4, tower
 from ._lazy import np
 from .search import tau_phase
-from .sic4 import _tau_powers, displacement_dagger_sign, monomial
+from .sic4 import _tau_powers, monomial
 
 __all__ = [
-    "tau_phase",
-    "monomial",
     "clock_shift",
     "displacement",
-    "displacement_dagger_sign",
     "orbit",
     "clock_shift_exact",
     "displacement_exact",

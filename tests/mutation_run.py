@@ -143,6 +143,17 @@ MUTANTS = [
      "math.floor(MAX_VALUE_BITS * math.log10(2))", "tests/test_expressions.py"),
     (EXPRESSIONS, "math.ceil(MAX_VALUE_BITS * math.log10(2))",
      "math.ceil(MAX_VALUE_BITS * math.log10(2)) + 1", "tests/test_expressions.py"),
+    # every product of a power is checked, and the exponent is read one
+    # bit per step, with no squaring after its last bit
+    (EXPRESSIONS, "base = _checked(base * base)", "base = base * base",
+     "tests/test_expressions.py"),
+    (EXPRESSIONS, "value = _checked(value * base)", "value = value * base",
+     "tests/test_expressions.py"),
+    (EXPRESSIONS, "base, n = _checked(base.inverse()), -n", "base, n = base.inverse(), -n",
+     "tests/test_expressions.py"),
+    (EXPRESSIONS, "n >>= 1", "n >>= 2", "tests/test_expressions.py"),
+    (EXPRESSIONS, "            if n:\n                base =", "            if True:\n                base =",
+     "tests/test_expressions.py"),
     # `python -m sicfield.cli` finds the module already registered and
     # warns, which only a fresh interpreter with warnings as errors sees
     ("src/sicfield/__init__.py", '"sic4", "search", "expressions")}',

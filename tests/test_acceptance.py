@@ -37,16 +37,17 @@ from sicfield.search import (
     residual_gradient,
     search,
     sic_residual,
+    tau_phase,
 )
 from sicfield.sic4 import (
     canonical_phase_matrix,
     discriminant,
     fiducial_projector,
+    monomial,
     overlap,
     verify_sic_projector,
 )
 from sicfield.tower import U_MIN_POLY, X_MIN_POLY, FieldElement, constant, embed
-from sicfield.weyl import displacement
 
 U = constant("u")
 R = constant("r")
@@ -230,10 +231,15 @@ def test_criterion_11_property_suites():
         assert abs(embed(elem.conjugate()) - z.conjugate()) \
             <= 1e-10 * max(1.0, abs(z))
 
-    # displacement operators are a unitary operator basis for d <= 6
+    # displacement operators, built from the library's monomial rule and
+    # tau, are a unitary operator basis for d <= 6
     for d in (2, 3, 4, 5, 6):
-        ops = {(i, j): displacement(d, i, j)
-               for i in range(d) for j in range(d)}
+        ops = {}
+        for i in range(d):
+            for j in range(d):
+                ops[i, j] = np.zeros((d, d), dtype=complex)
+                for k, (row, e) in enumerate(monomial(d, i, j)):
+                    ops[i, j][row, k] = tau_phase(d) ** e
         for a, da in ops.items():
             for b, db in ops.items():
                 want = d if a == b else 0

@@ -197,7 +197,8 @@ class TestMinpoly:
         assert "8192-bit bound" in err
 
     def test_refusal_does_not_echo_an_unbounded_estimate(self, capsys):
-        # the estimate of u^n is n bits, here a 130000-digit number
+        # the parser refuses the 130000-digit exponent by its digit count,
+        # and the message does not echo the exponent
         code, out, err = run_cli(capsys, "minpoly", "u^" + "9" * 130000)
         assert code == 2
         assert out == ""

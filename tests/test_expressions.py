@@ -1,9 +1,10 @@
 import string
 import sys
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from reference import parenthesized
 
 from sicfield.expressions import (
@@ -20,7 +21,7 @@ from sicfield.expressions import (
 )
 from sicfield.minpoly import minimal_polynomial
 from sicfield.polynomials import RatPoly
-from sicfield.tower import constant
+from sicfield.tower import CONSTANT_NAMES, FieldElement, constant
 
 
 class TestParsing:
@@ -194,25 +195,78 @@ CORPUS = [
 ]
 
 
+def bits(value):
+    return max(n.bit_length() for n in (*value.nums, value.den))
+
+
 class TestValueBound:
-    def test_power_estimate_is_checked_before_the_power(self):
-        # bits(u) = 1, so u^n is estimated at n bits
-        assert not evaluate_expression(f"u^{MAX_VALUE_BITS}").is_zero()
-        with pytest.raises(ValueError, match=f"{MAX_VALUE_BITS}-bit bound"):
-            evaluate_expression(f"u^{MAX_VALUE_BITS + 1}")
+    def test_power_is_judged_by_its_value_not_its_exponent(self):
+        # u^8193 needs 6267 bits, though its exponent is over the bound
+        value = evaluate_expression(f"u^{MAX_VALUE_BITS + 1}")
+        assert value == constant("u") ** (MAX_VALUE_BITS + 1)
+        assert bits(value) == 6267
         with pytest.raises(ValueError, match=f"{MAX_VALUE_BITS}-bit bound"):
             evaluate_expression("u^99999999999")
 
+    @pytest.mark.parametrize("text, base, n, size", [
+        ("2^8191", "2", 8191, 8192),
+        ("3^5000", "3", 5000, 7925),
+        ("2^4097", "2", 4097, 4098),
+        ("u1^3000", "u1", 3000, 3815),
+        ("(sqrt5-2)^3000", "sqrt5-2", 3000, 6248),
+    ])
+    def test_power_within_the_bound_evaluates(self, text, base, n, size):
+        value = evaluate_expression(text)
+        assert value == evaluate_expression(base) ** n
+        assert bits(value) == size
+
+    @pytest.mark.parametrize("text, size", [
+        ("2^8192", 8193),
+        ("3^5200", 8242),
+    ])
+    def test_power_over_the_bound_is_refused(self, text, size):
+        with pytest.raises(ValueError, match=f"value of {size} bits exceeds the "
+                                             f"{MAX_VALUE_BITS}-bit bound"):
+            evaluate_expression(text)
+
     def test_power_result_is_checked_after_the_power(self):
-        # estimated at 8192 bits, (1+u)^8192 needs 11733
+        # (1+u)^4096 needs 5867 bits, and its square, the power, 11733
         with pytest.raises(ValueError, match="11733 bits"):
             evaluate_expression(f"(1+u)^{MAX_VALUE_BITS}")
 
-    def test_negative_power_is_estimated_from_the_inverse(self):
+    def test_negative_power_is_a_power_of_the_inverse(self):
         # (u + r/3) has 2-bit coordinates, its inverse 8-bit ones
         assert not evaluate_expression("(u+r/3)^1500").is_zero()
-        with pytest.raises(ValueError, match="12000 bits"):
+        assert evaluate_expression("(u+r/3)^-3") == evaluate_expression("(u+r/3)^3").inverse()
+        with pytest.raises(ValueError, match=f"{MAX_VALUE_BITS}-bit bound"):
             evaluate_expression("(u+r/3)^-1500")
+        # the inverse of u + 2^4000 needs 32000 bits, and is refused before
+        # it is squared
+        with pytest.raises(ValueError, match="value of 32000 bits"):
+            evaluate_expression("(u+2^4000)^-2")
+
+    @pytest.mark.parametrize("name, period", [("tau", 8), ("i", 4)])
+    def test_root_of_unity_takes_the_longest_exponent(self, name, period):
+        n = int("9" * 2466)
+        start = time.perf_counter()
+        value = evaluate_expression(f"{name}^{n}")
+        assert time.perf_counter() - start < 1.0
+        assert value == constant(name) ** (n % period)
+
+    def test_no_product_takes_an_operand_over_the_bound(self, monkeypatch):
+        # a product of operands over the bound fails at once, so an
+        # unchecked squaring is caught before it squares on towards
+        # 2^36-fold sizes
+        multiply = FieldElement.__mul__
+
+        def spy(a, b):
+            assert all(bits(x) <= MAX_VALUE_BITS for x in (a, b)
+                       if isinstance(x, FieldElement))
+            return multiply(a, b)
+
+        monkeypatch.setattr(FieldElement, "__mul__", spy)
+        with pytest.raises(ValueError, match=f"{MAX_VALUE_BITS}-bit bound"):
+            evaluate_expression("u^99999999999")
 
     def test_literals_are_checked(self):
         # 10^2466 < 2^8192 < 10^2467
@@ -290,6 +344,35 @@ def test_formatting_reparses_to_the_same_tree(ast):
             evaluate_expression(rendered)
         return
     assert evaluate_expression(rendered) == expected
+
+
+#: bits per unit of exponent run from 0 (tau, i) to 6.6 (99/98), so an
+#: exponent drawn on a log scale up to 2^15 falls on both sides of the bound
+POWER_BASES = st.one_of(
+    st.sampled_from([Name(name) for name in CONSTANT_NAMES]),
+    st.builds(Literal, st.builds(
+        Fraction,
+        st.integers(min_value=-99, max_value=99).filter(bool),
+        st.integers(min_value=1, max_value=99),
+    )),
+)
+EXPONENTS = st.integers(min_value=0, max_value=15).flatmap(
+    lambda k: st.integers(min_value=-(2**k), max_value=2**k))
+
+
+@given(POWER_BASES, EXPONENTS)
+@example(Name("u"), 8193)
+@example(Name("u"), 12000)
+@settings(max_examples=60, deadline=None)
+def test_a_power_is_refused_exactly_when_its_value_is_over_the_bound(base, n):
+    expected = evaluate_expression(base) ** n
+    # each step builds base^m for some m <= |n|, and for these bases that
+    # is within the bound when base^n is
+    if bits(expected) > MAX_VALUE_BITS:
+        with pytest.raises(ValueError, match=f"{MAX_VALUE_BITS}-bit bound"):
+            evaluate_expression(Pow(base, n))
+    else:
+        assert evaluate_expression(Pow(base, n)) == expected
 
 
 #: pieces of text: every token kind, known and unknown names, Unicode

@@ -33,11 +33,6 @@ class TestBasics:
         assert RatPoly([Fraction(1, 2)]) == Fraction(1, 2)
         assert RatPoly([0, 1]) != 1
 
-    def test_monomial(self):
-        assert RatPoly.monomial(3, 2) == RatPoly([0, 0, 0, 2])
-        with pytest.raises(ValueError):
-            RatPoly.monomial(-1)
-
     def test_immutable(self):
         p = RatPoly([1, 2])
         with pytest.raises(AttributeError):

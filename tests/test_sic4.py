@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from reference import dagger, dense_displacement, dense_reconstruction, mat_mul
 
 from conftest import small_fractions
-from sicfield import matrices
 from sicfield.sic4 import (
     canonical_phase_matrix,
     discriminant,
@@ -17,6 +16,7 @@ from sicfield.sic4 import (
     phase_unit_audit,
     phases_in_inner_field,
     reconstruct_projector,
+    trace,
     verify_sic_projector,
 )
 from sicfield.tower import FieldElement, constant, embed
@@ -42,7 +42,7 @@ class TestAgainstDenseReference:
         values = set()
         for i, j in NONTRIVIAL:
             d = dense_displacement(i, j)
-            expected = matrices.trace(mat_mul(
+            expected = trace(mat_mul(
                 mat_mul(proj, d),
                 mat_mul(proj, dagger(d)),
             ))
@@ -137,7 +137,7 @@ class TestProjector:
         assert all(r.passed for r in results)
 
     def test_trace_is_exactly_one(self):
-        assert matrices.trace(fiducial_projector()) == 1
+        assert trace(fiducial_projector()) == 1
 
     def test_idempotent_exactly(self):
         proj = fiducial_projector()

@@ -6,16 +6,16 @@ import pytest
 from reference import dense_displacement, inner, mat_vec, scale, scaled_identity
 
 from sicfield import matrices
+from sicfield.search import tau_phase
+from sicfield.sic4 import displacement_dagger_sign
 from sicfield.tower import FieldElement, constant, embed
 from sicfield.weyl import (
     clock_shift,
     clock_shift_exact,
     displacement,
-    displacement_dagger_sign,
     displacement_exact,
     orbit,
     orbit_exact,
-    tau_phase,
 )
 
 DIMS = (2, 3, 4, 5, 7)
