@@ -1,11 +1,13 @@
 """Command line behaviour: exit codes, report shape, option plumbing."""
 
+import importlib
 import json
 import subprocess
 import sys
 import time
 from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -714,8 +716,16 @@ class TestParsing:
         assert "verify-d4" in out
 
     def test_console_script_entry_point(self):
+        # the script pyproject.toml maps (read as text: Python 3.10 has no
+        # tomllib), run the way the installed script runs it
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        line = pyproject.split("\n[project.scripts]\n", 1)[1].splitlines()[0]
+        assert line == 'sicfield = "sicfield.cli:main"'
+        module, name = line.split('"')[1].split(":")
+        assert getattr(importlib.import_module(module), name) is main
         proc = subprocess.run(
-            [sys.executable, "-m", "sicfield.cli", "minpoly", "u + 1/u"],
+            [sys.executable, "-c", f"import sys; from {module} import {name}; sys.exit({name}())",
+             "minpoly", "u + 1/u"],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0

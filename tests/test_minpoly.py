@@ -1,5 +1,6 @@
 import copy
 import pickle
+from concurrent.futures import ProcessPoolExecutor
 import random
 import sys
 import time
@@ -517,6 +518,16 @@ class TestPickleAndCopy:
         monkeypatch.setattr(tower, "_substitution", lambda image_u, image_r: None)
         with pytest.raises(ValueError, match="tower relations"):
             pickle.loads(data)
+
+    def test_minimal_polynomials_cross_a_process_pool(self):
+        # the exact value types pickle both ways: the minimal polynomials of
+        # the named constants, computed in two worker processes, equal the
+        # ones computed in this process
+        elements = [constant(name) for name in CONSTANT_NAMES]
+        local = [minimal_polynomial(e) for e in elements]
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            remote = list(pool.map(minimal_polynomial, elements))
+        assert len(remote) == 13 and remote == local, remote
 
     def test_the_kept_dependence_is_not_pickled(self):
         kept, fresh = fresh_copies(BASES[16][0], BASES[16][0])

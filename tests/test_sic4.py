@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 from reference import dagger, dense_displacement, dense_reconstruction, mat_mul
 
 from conftest import small_fractions
@@ -52,13 +52,16 @@ class TestAgainstDenseReference:
 
     @given(st.lists(st.lists(sparse_field_elements(), min_size=4, max_size=4),
                     min_size=4, max_size=4))
-    @settings(max_examples=10, deadline=None)
+    # no shrink phase, so a failure is reported as drawn, and soon: a
+    # shrink of 16 entries can run for minutes and look like a hang. Seven
+    # broken overlap sums failed in 3.5-8 s each with it, about 1 s without
+    # (2-core VM)
+    @settings(max_examples=10, deadline=None, phases=set(Phase) - {Phase.shrink})
     def test_overlap_equals_the_dense_trace_for_any_matrix(self, rows):
         # neither hermitian nor rank one, as a corrupted projector is not;
         # a shift or clock index moved by 4 flips the sign of D, not the trace.
         # The trace sums products of two entries, so entries of at most two
-        # terms reach every product of basis elements, and a failing case
-        # has few numbers to shrink
+        # terms reach every product of basis elements
         m = tuple(tuple(row) for row in rows)
         for i in range(4):
             for j in range(4):

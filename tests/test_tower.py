@@ -476,6 +476,12 @@ class TestEmbedding:
         assert embed(zero) == 0
         assert embed(zero, dps=30) == 0
 
+    def test_one_digit(self):
+        # the smallest dps embed takes
+        val = embed(SQRT5, 1)
+        assert isinstance(val, mpmath.mpc)
+        assert abs(val - mpmath.sqrt(5)) <= mpmath.sqrt(5) / 10
+
     @pytest.mark.parametrize("dps", [-5, 0, 2.5, True, "50"], ids=repr)
     def test_dps_must_be_a_positive_int(self, dps):
         with pytest.raises(ValueError, match="dps"):
